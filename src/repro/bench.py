@@ -508,9 +508,15 @@ def run_panel_bench(
 
     Trace generation is excluded from the timed region; the timer wraps
     exactly the slot loop (:func:`repro.analysis.competitive.run_system`)
-    — the quantity the fast-path work optimizes.
+    — the quantity the fast-path work optimizes. The ``vectorized``
+    mode replays the panel's columnar trace, the engine's production
+    input; the reference modes replay the object trace. Both carry the
+    same packets.
     """
-    trace = panel.trace(slots_scale)
+    if mode == "vectorized":
+        trace = panel.columnar_trace(slots_scale)
+    else:
+        trace = panel.trace(slots_scale)
     config = panel.config()
     by_value = config.discipline is QueueDiscipline.PRIORITY
     result = PanelResult(panel=panel, total_packets=trace.total_packets)

@@ -530,7 +530,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import replay_trace
 
     if args.verify:
-        result = replay_trace(args.verify)
+        try:
+            result = replay_trace(args.verify)
+        except OSError as exc:
+            print(
+                f"error: cannot read trace {args.verify}: {exc}",
+                file=sys.stderr,
+            )
+            return 2
         print(f"# {args.verify}")
         print(result.summary())
         result.verify()
@@ -1044,8 +1051,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("fast", "naive", "vectorized"), default="fast",
         help=(
             "engine/selector to time: the reference engine's fast or "
-            "naive selector, or the columnar vectorized engine "
-            "(default fast)"
+            "naive selector over the object trace, or the columnar "
+            "vectorized engine over the columnar trace (default fast)"
         ),
     )
     bench_parser.add_argument(

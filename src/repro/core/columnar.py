@@ -11,7 +11,12 @@ differential and golden-stream suites enforce.
 
 Batching structure
 ------------------
-The arrival phase is processed per slot as one batch. While the buffer
+There is one ingestion path. The arrival phase is processed per slot
+as one batch over flat columns (port, work, value, arrival slot):
+:meth:`VectorizedSwitch.run_slot_columns` takes a span of a
+:class:`repro.traffic.columnar.ColumnarTrace` directly, and
+:meth:`VectorizedSwitch.run_slot` converts a ``Packet`` burst to the
+same columns at entry, so both reach the same kernels. While the buffer
 has free space every push-out policy is greedy (``PushOutPolicy.admit``
 returns ``ACCEPT`` without consulting ``congested``), so the leading
 run of a burst that fits in the free space is bulk-accepted without a
@@ -53,21 +58,22 @@ then automatic rather than re-proved per policy.
 Oracle contract and deviations
 ------------------------------
 On valid traces the engine is observationally identical to the
-reference. Two documented deviations exist:
+reference. Three documented deviations exist:
 
 * ``run_slot`` returns ``[]`` in fast mode (no observer attached):
   transmitted packets are accounted in metrics but not materialized as
   objects. ``repro.analysis.competitive.run_system`` ignores the
   return value; attach an observer to capture per-packet streams.
 * Trace validation is batched per burst (and cached across replays of
-  the same burst object), so an *invalid* trace raises before any
-  packet of the offending burst is processed, whereas the reference
-  raises mid-burst. Valid traces are unaffected.
-* Fast-mode admissions do not draw global packet sequence numbers
-  (their store entries carry ``seq 0``); the reference consumes one
-  per admitted copy. Sequence numbers are debugging identity only —
-  every decision-relevant and metrics-relevant quantity is seq-free —
-  and the slow path keeps drawing real ones.
+  the same burst object or trace column), so an *invalid* trace raises
+  before any packet of the offending burst is processed, whereas the
+  reference raises mid-burst. Valid traces are unaffected.
+* Fast-mode admissions do not draw global packet sequence numbers:
+  for every policy and both entry points their store entries carry
+  ``seq 0``, while the reference consumes one per admitted copy.
+  Sequence numbers are debugging identity only — every
+  decision-relevant and metrics-relevant quantity is seq-free — and
+  the slow path keeps drawing real ones.
 
 With an observer attached the engine switches to a per-packet slow
 path with full event parity (arrival/decision/push-out/transmit/flush
@@ -83,7 +89,6 @@ from typing import (
     Any,
     Deque,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -563,110 +568,65 @@ class VectorizedSwitch:
     # ------------------------------------------------------------------
 
     @hot_path
-    def _validate_burst(self, burst: Sequence[Packet]) -> None:
-        """Validate a whole burst before any of it is processed.
-
-        ``Packet.__post_init__`` already guarantees ``port >= 0`` and
-        ``work >= 1``, so only the upper port bound and (FIFO) the
-        per-port work requirement remain; the work-column index doubles
-        as the range check. Unlike the reference (which validates as it
-        offers), an invalid burst raises before any packet of it lands.
-        """
-        if not burst:
-            return
-        key = (id(burst), id(self.config))
-        if key in _VALIDATED:
-            return
-        pk: Optional[Packet] = None
-        if self._by_value:
-            n = self._nr
-            for pk in burst:
-                if pk.port >= n:
-                    raise TraceError(
-                        f"packet destined to port {pk.port}, switch has "
-                        f"{n} ports"
-                    )
-        else:
-            works = self._works
-            try:
-                for pk in burst:
-                    if pk.work != works[pk.port]:
-                        raise TraceError(
-                            f"packet work {pk.work} violates per-port "
-                            f"requirement w_{pk.port}={works[pk.port]} "
-                            "(Section III model constraint)"
-                        )
-            except IndexError:
-                assert pk is not None
-                raise TraceError(
-                    f"packet destined to port {pk.port}, switch has "
-                    f"{self._nr} ports"
-                ) from None
-        _VALIDATED[key] = (burst, self.config)
-        if len(_VALIDATED) > _VALIDATED_CAP:
-            _VALIDATED.popitem(last=False)
-
-    @hot_path
     def _validate_columns(
         self,
         ports: Sequence[int],
         works: Sequence[int],
         values: Sequence[float],
+        source: Any,
     ) -> None:
-        """Validate whole trace columns before the first ingested slot.
+        """Validate whole columns before any packet of them lands.
 
-        The columnar ingestion path has no ``Packet.__post_init__``
-        guarding field ranges, so this also enforces the lower bounds
-        the object path gets for free (``port >= 0``, ``work >= 1``,
-        ``value > 0``). Memoized on the ``ports`` column identity like
-        burst validation, so replays of one trace validate once.
+        Columns carry no ``Packet.__post_init__`` guarding field ranges,
+        so this also enforces the lower bounds (``port >= 0``,
+        ``work >= 1``, ``value > 0``). Unlike the reference (which
+        validates as it offers), an invalid burst raises before any of
+        it is processed. Memoized on the identity of ``source`` — the
+        trace's ``ports`` column, or the ``Packet`` burst the columns
+        were converted from — so replays of one trace or burst across
+        policies validate once, and per-call temporaries never enter
+        the memo.
         """
         if not ports:
             return
-        key = (id(ports), id(self.config))
+        key = (id(source), id(self.config))
         if key in _VALIDATED:
             return
         n = self._nr
         if self._by_value:
-            for i in range(len(ports)):
-                p = ports[i]
+            for p, w, v in zip(ports, works, values):
                 if not 0 <= p < n:
                     raise TraceError(
                         f"packet destined to port {p}, switch has "
                         f"{n} ports"
                     )
-                if works[i] < 1:
-                    raise TraceError(
-                        f"packet work must be >= 1, got {works[i]}"
-                    )
-                if values[i] <= 0:
-                    raise TraceError(
-                        f"packet value must be > 0, got {values[i]}"
-                    )
+                if w < 1:
+                    raise TraceError(f"packet work must be >= 1, got {w}")
+                if v <= 0:
+                    raise TraceError(f"packet value must be > 0, got {v}")
         else:
             wcol = self._works
             p = 0
             try:
-                for i in range(len(ports)):
-                    p = ports[i]
+                for p, w, v in zip(ports, works, values):
                     if p < 0:
                         raise IndexError
-                    if works[i] != wcol[p]:
+                    if w != wcol[p]:
                         raise TraceError(
-                            f"packet work {works[i]} violates per-port "
+                            f"packet work {w} violates per-port "
                             f"requirement w_{p}={wcol[p]} "
                             "(Section III model constraint)"
                         )
-                    if values[i] <= 0:
+                    if v <= 0:
                         raise TraceError(
-                            f"packet value must be > 0, got {values[i]}"
+                            f"packet value must be > 0, got {v}"
                         )
             except IndexError:
                 raise TraceError(
                     f"packet destined to port {p}, switch has "
                     f"{n} ports"
                 ) from None
-        _VALIDATED[key] = (ports, self.config)
+        _VALIDATED[key] = (source, self.config)
         if len(_VALIDATED) > _VALIDATED_CAP:
             _VALIDATED.popitem(last=False)
 
@@ -751,39 +711,30 @@ class VectorizedSwitch:
     # Whole slots
     # ------------------------------------------------------------------
 
+    @hot_path
     def run_slot(
         self, arrivals: Sequence[Packet], policy: Any
     ) -> List[Packet]:
         """One full time slot: batched arrival phase then transmission.
 
-        Fast mode (no observer) returns ``[]``; transmissions are
-        accounted in metrics only. With an observer attached, falls
-        back to the per-packet slow path and returns the transmitted
-        packets like the reference engine.
+        Fast mode (no observer) converts the burst to columns and runs
+        the same kernels as :meth:`run_slot_columns`, returning ``[]``;
+        transmissions are accounted in metrics only. With an observer
+        attached, falls back to the per-packet slow path and returns
+        the transmitted packets like the reference engine.
         """
         if self.observer is not None:
             return self._run_slot_slow(arrivals, policy)
-        self._validate_burst(arrivals)
-        if arrivals:
-            self.metrics.arrived += len(arrivals)
-            kind = self._kernel_for(policy)
-            if kind == K_LQD:
-                self._arrive_lqd(arrivals)
-            elif kind == K_LWD:
-                self._arrive_lwd(arrivals)
-            elif kind == K_BPD:
-                self._arrive_bpd(arrivals)
-            else:
-                self._arrive_generic(arrivals, policy)
-        if self._fast_fifo:
-            self._transmit_fifo_fast()
-        elif self._by_value:
-            self._transmit_priority()
-        else:
-            self._transmit_fifo_generic()
-        self.metrics.record_slot(self.occupancy)
-        self.current_slot += 1
-        return []
+        if not arrivals:
+            return self._run_columns(policy, (), (), (), None, 0, 0, None)
+        ports = [pk.port for pk in arrivals]
+        works = [pk.work for pk in arrivals]
+        values = [pk.value for pk in arrivals]
+        slots = [pk.arrival_slot for pk in arrivals]
+        self._validate_columns(ports, works, values, arrivals)
+        return self._run_columns(
+            policy, ports, works, values, slots, 0, len(ports), arrivals
+        )
 
     def _run_slot_slow(
         self, arrivals: Sequence[Packet], policy: Any
@@ -817,9 +768,9 @@ class VectorizedSwitch:
         objects are constructed on the fast path (the generic kernel
         materializes one transient template per *policy-consulted*
         arrival only). ``arrivals`` is ``None`` when every packet's
-        arrival slot is the current slot. Decision/metrics parity with
-        :meth:`run_slot` over the materialized burst is exact; with an
-        observer attached the burst is materialized and run through the
+        arrival slot is the current slot. :meth:`run_slot` feeds
+        ``Packet`` bursts through the same kernels; with an observer
+        attached the burst is materialized and run through the
         per-packet slow path.
         """
         if self.observer is not None:
@@ -836,7 +787,29 @@ class VectorizedSwitch:
                 for i in range(lo, hi)
             ]
             return self._run_slot_slow(burst, policy)
-        self._validate_columns(ports, works, values)
+        self._validate_columns(ports, works, values, ports)
+        return self._run_columns(
+            policy, ports, works, values, arrivals, lo, hi, None
+        )
+
+    @hot_path
+    def _run_columns(
+        self,
+        policy: Any,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        lo: int,
+        hi: int,
+        packets: Optional[Sequence[Packet]],
+    ) -> List[Packet]:
+        """One fast-mode slot over validated columns.
+
+        The single arrival dispatch (kernel or generic) followed by the
+        transmission phase. ``packets`` is the source burst when the
+        slot arrived as ``Packet`` objects, else ``None``.
+        """
         if hi > lo:
             self.metrics.arrived += hi - lo
             kind = self._kernel_for(policy)
@@ -848,7 +821,7 @@ class VectorizedSwitch:
                 self._arrive_bpd_cols(ports, values, arrivals, lo, hi)
             else:
                 self._arrive_generic_cols(
-                    policy, ports, works, values, arrivals, lo, hi
+                    policy, ports, works, values, arrivals, lo, hi, packets
                 )
         if self._fast_fifo:
             self._transmit_fifo_fast()
@@ -1006,7 +979,13 @@ class VectorizedSwitch:
                 f"shared={self._shared_occupancy()}/"
                 f"{self._shared_pool + self._down_reserved})"
             )
-        self._admit(packet)
+        self._admit(
+            packet.port,
+            packet.work,
+            packet.value,
+            packet.arrival_slot,
+            next(self._seq),
+        )
         self.occupancy += 1
         metrics.record_accept(packet)
 
@@ -1115,54 +1094,34 @@ class VectorizedSwitch:
             self._deactivate(port)
         return victim
 
-    def _admit(self, packet: Packet) -> None:
-        """Enqueue a fresh copy of ``packet`` into the columns."""
-        port = packet.port
-        seq = next(self._seq)
-        value = packet.value
-        was_empty = self._lens[port] == 0
-        if self._by_value:
-            vals = self._vals[port]
-            pos = bisect_left(vals, value)
-            vals.insert(pos, value)
-            self._recs[port].insert(
-                pos,
-                [value, packet.arrival_slot, seq, packet.work, packet.work],
-            )
-            self._tw[port] += packet.work  # type: ignore[index]
-        elif not self._fast_fifo:
-            self._stores[port].append(
-                [value, packet.arrival_slot, seq, packet.work]
-            )
-            self._tw[port] += packet.work  # type: ignore[index]
-        else:
-            self._stores[port].append((value, packet.arrival_slot, seq))
-            if was_empty:
-                self._rearm_head(port, self._works[port])
-        self._tv[port] += value
-        self._lens[port] += 1
-        if was_empty:
-            self._activate(port)
-
     @hot_path
-    def _admit_cols(
-        self, port: int, work: int, value: float, arrival_slot: int
+    def _admit(
+        self,
+        port: int,
+        work: int,
+        value: float,
+        arrival_slot: int,
+        seq: int = 0,
     ) -> None:
-        """Enqueue a packet given as column fields (no object, seq 0)."""
+        """Enqueue one packet, given as fields, into the columns.
+
+        Fast-mode admissions keep the default ``seq`` 0; the per-packet
+        slow path passes a freshly drawn sequence number.
+        """
         was_empty = self._lens[port] == 0
         if self._by_value:
             vals = self._vals[port]
             pos = bisect_left(vals, value)
             vals.insert(pos, value)
             self._recs[port].insert(
-                pos, [value, arrival_slot, 0, work, work]
+                pos, [value, arrival_slot, seq, work, work]
             )
             self._tw[port] += work  # type: ignore[index]
         elif not self._fast_fifo:
-            self._stores[port].append([value, arrival_slot, 0, work])
+            self._stores[port].append([value, arrival_slot, seq, work])
             self._tw[port] += work  # type: ignore[index]
         else:
-            self._stores[port].append((value, arrival_slot, 0))
+            self._stores[port].append((value, arrival_slot, seq))
             if was_empty:
                 self._rearm_head(port, self._works[port])
         self._tv[port] += value
@@ -1276,11 +1235,37 @@ class VectorizedSwitch:
         return transmitted
 
     # ------------------------------------------------------------------
-    # Fast arrival kernels (no observer attached)
+    # Fast arrival kernels (no observer attached; trace columns in)
     # ------------------------------------------------------------------
 
+    def _pop_tail_fast(self, port: int) -> None:
+        """Drop the tail of ``port``'s queue without materializing it."""
+        lens = self._lens
+        length = lens[port]
+        if self._by_value:
+            value = self._vals[port].pop(0)
+            rec = self._recs[port].pop(0)
+            self._tw[port] -= rec[3]  # type: ignore[index]
+        elif not self._fast_fifo:
+            rec = self._stores[port].pop()
+            value = rec[0]
+            self._tw[port] -= rec[3]  # type: ignore[index]
+        else:
+            value = self._stores[port].pop()[0]
+        self._tv[port] -= value
+        lens[port] = length - 1
+        if length == 1:
+            self._deactivate(port)
+
     @hot_path
-    def _arrive_lqd(self, burst: Sequence[Packet]) -> None:
+    def _arrive_lqd_cols(
+        self,
+        ports: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        lo: int,
+        hi: int,
+    ) -> None:
         """Batched LQD arrival phase over the length columns.
 
         Victim key: ``(|Q_j| + [j = i], w_j, j)`` argmax, realized as
@@ -1310,6 +1295,7 @@ class VectorizedSwitch:
         topr = self._topr
         occ = self.occupancy
         cap = self._B
+        slot = self.current_slot
         accepted = 0
         dropped = 0
         pushed = 0
@@ -1317,493 +1303,6 @@ class VectorizedSwitch:
         # push-out policy is greedy below capacity, and a congested
         # kernel never shrinks occupancy, so the split needs no
         # per-packet occupancy check in either loop.
-        free = cap - occ
-        if free > 0:
-            nb = len(burst)
-            take = free if free < nb else nb
-            head = burst[:take]
-            burst = burst[take:] if take < nb else ()
-            occ += take
-            accepted += take
-            for pk in head:
-                p = pk.port
-                r = rank[p]
-                ol = lens[p]
-                nl = ol + 1
-                stores[p].append((pk.value, pk.arrival_slot, 0))
-                tv[p] += pk.value
-                lens[p] = nl
-                if ol:
-                    masks[ol] ^= bit[r]
-                else:
-                    insort(active, p)
-                    is_act[p] = True
-                    if sched is None:
-                        hr[p] = works[p]
-                        amask[p] = 1
-                    else:
-                        e = tick + works[p]
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
-                masks[nl] |= bit[r]
-                # No queue shrank: the maximum can only move up to nl
-                # (then the arrival's rank is alone there) or gain the
-                # arrival's bit at the same level.
-                if nl > maxl:
-                    maxl = nl
-                    topr = r
-                elif nl == maxl and r > topr:
-                    topr = r
-        for pk in burst:
-            p = pk.port
-            r = rank[p]
-            ol = lens[p]
-            nl = ol + 1
-            if nl > maxl or (nl == maxl and r > topr):
-                dropped += 1
-                dropped_by_port[p] += 1
-                continue
-            # Push out the tail of the max-key queue. The own queue
-            # cannot be the victim here: had (nl, r) matched
-            # (maxl, topr) the arrival would have been dropped above.
-            t = porder[topr]
-            masks[maxl] ^= bit[topr]
-            vl = maxl - 1
-            lens[t] = vl
-            vv = stores[t].pop()[0]
-            tv[t] -= vv
-            if vl:
-                masks[vl] |= bit[topr]
-            else:
-                del active[bisect_left(active, t)]
-                is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
-            pushed += 1
-            dropped_by_port[t] += 1
-            stores[p].append((pk.value, pk.arrival_slot, 0))
-            tv[p] += pk.value
-            lens[p] = nl
-            accepted += 1
-            if ol:
-                masks[ol] ^= bit[r]
-            else:
-                insort(active, p)
-                is_act[p] = True
-                if sched is None:
-                    hr[p] = works[p]
-                    amask[p] = 1
-                else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
-            masks[nl] |= bit[r]
-            # The old maximum lost its top rank and the arrival
-            # entered at nl <= maxl; recompute downward (the own
-            # bit at nl bounds the scan, so maxl stays >= 1).
-            while not masks[maxl]:
-                maxl -= 1
-            topr = masks[maxl].bit_length() - 1
-        self.occupancy = occ
-        self._maxl = maxl
-        self._topr = topr
-        metrics.accepted += accepted
-        metrics.dropped += dropped
-        metrics.pushed_out += pushed
-
-    @hot_path
-    def _arrive_lwd(self, burst: Sequence[Packet]) -> None:
-        """Batched LWD arrival phase over integer work codes.
-
-        Victim key: ``(W_j + [j = i] w_i, w_j, j)`` argmax. Codes
-        ``(W_j + off) * n + r_j`` preserve the lexicographic order
-        because ranks are unique below ``n``; ``codes`` stays sorted
-        ascending so its last element is the current victim key.
-        """
-        metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
-        lens = self._lens
-        tv = self._tv
-        stores = self._stores
-        hr = self._hr
-        amask = self._amask
-        sched = self._sched
-        hexp = self._hexp
-        tick = self._tick
-        active = self._active
-        is_act = self._is_act
-        works = self._works
-        rank = self._rank
-        porder = self._porder
-        codes = self._codes
-        pcode = self._pcode
-        ncode = self._ncode
-        off = self._off
-        nr = self._nr
-        occ = self.occupancy
-        cap = self._B
-        accepted = 0
-        dropped = 0
-        pushed = 0
-        # Split exactly like the LQD kernel: greedy bulk-accept of the
-        # run that fits, then a congested loop with no occupancy check.
-        free = cap - occ
-        if free > 0:
-            nb = len(burst)
-            take = free if free < nb else nb
-            head = burst[:take]
-            burst = burst[take:] if take < nb else ()
-            occ += take
-            accepted += take
-            for pk in head:
-                p = pk.port
-                w = works[p]
-                ol = lens[p]
-                if ol:
-                    nc = ncode[p]
-                    del codes[bisect_left(codes, pcode[p])]
-                else:
-                    nc = (w + off) * nr + rank[p]
-                    insort(active, p)
-                    is_act[p] = True
-                    if sched is None:
-                        hr[p] = w
-                        amask[p] = 1
-                    else:
-                        e = tick + w
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
-                insort(codes, nc)
-                pcode[p] = nc
-                ncode[p] = nc + w * nr
-                stores[p].append((pk.value, pk.arrival_slot, 0))
-                tv[p] += pk.value
-                lens[p] = ol + 1
-        for pk in burst:
-            p = pk.port
-            ol = lens[p]
-            if ol:
-                nc = ncode[p]
-            else:
-                nc = (works[p] + off) * nr + rank[p]
-            top = codes[-1]
-            if nc > top:
-                dropped += 1
-                dropped_by_port[p] += 1
-                continue
-            t = porder[top % nr]
-            codes.pop()
-            vl = lens[t] - 1
-            lens[t] = vl
-            vv = stores[t].pop()[0]
-            tv[t] -= vv
-            if vl:
-                tc = top - works[t] * nr
-                pcode[t] = tc
-                # tc + works[t]*nr == top: the popped key is exactly
-                # the victim queue's next-accept code.
-                ncode[t] = top
-                insort(codes, tc)
-            else:
-                del active[bisect_left(active, t)]
-                is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
-            pushed += 1
-            dropped_by_port[t] += 1
-            w = works[p]
-            if ol:
-                del codes[bisect_left(codes, pcode[p])]
-            else:
-                insort(active, p)
-                is_act[p] = True
-                if sched is None:
-                    hr[p] = w
-                    amask[p] = 1
-                else:
-                    e = tick + w
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
-            insort(codes, nc)
-            pcode[p] = nc
-            ncode[p] = nc + w * nr
-            stores[p].append((pk.value, pk.arrival_slot, 0))
-            tv[p] += pk.value
-            lens[p] = ol + 1
-            accepted += 1
-        self.occupancy = occ
-        metrics.accepted += accepted
-        metrics.dropped += dropped
-        metrics.pushed_out += pushed
-
-    @hot_path
-    def _arrive_bpd(self, burst: Sequence[Packet]) -> None:
-        """Batched BPD arrival phase over the non-empty rank bitmask.
-
-        Victim key: ``(w_j, j)`` argmax over non-empty queues — the
-        highest set rank bit. Accept iff the arrival's own static key
-        is <= the victim's (equality means the arrival raids its own
-        queue's tail, exactly like the reference).
-        """
-        metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
-        lens = self._lens
-        tv = self._tv
-        stores = self._stores
-        hr = self._hr
-        amask = self._amask
-        sched = self._sched
-        hexp = self._hexp
-        tick = self._tick
-        active = self._active
-        is_act = self._is_act
-        works = self._works
-        rank = self._rank
-        porder = self._porder
-        bit = self._bit
-        nm = self._nm
-        occ = self.occupancy
-        cap = self._B
-        accepted = 0
-        dropped = 0
-        pushed = 0
-        # Split exactly like the LQD kernel: greedy bulk-accept of the
-        # run that fits, then a congested loop with no occupancy check.
-        free = cap - occ
-        if free > 0:
-            nb = len(burst)
-            take = free if free < nb else nb
-            head = burst[:take]
-            burst = burst[take:] if take < nb else ()
-            occ += take
-            accepted += take
-            for pk in head:
-                p = pk.port
-                ol = lens[p]
-                stores[p].append((pk.value, pk.arrival_slot, 0))
-                tv[p] += pk.value
-                lens[p] = ol + 1
-                if not ol:
-                    nm |= bit[rank[p]]
-                    insort(active, p)
-                    is_act[p] = True
-                    if sched is None:
-                        hr[p] = works[p]
-                        amask[p] = 1
-                    else:
-                        e = tick + works[p]
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
-        for pk in burst:
-            p = pk.port
-            r = rank[p]
-            vr = nm.bit_length() - 1
-            if r > vr:
-                dropped += 1
-                dropped_by_port[p] += 1
-                continue
-            t = porder[vr]
-            vl = lens[t] - 1
-            lens[t] = vl
-            vv = stores[t].pop()[0]
-            tv[t] -= vv
-            if not vl:
-                nm ^= bit[vr]
-                del active[bisect_left(active, t)]
-                is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
-            pushed += 1
-            dropped_by_port[t] += 1
-            # Read the own length only now: when r == vr the arrival
-            # raided its own queue's tail, shortening it by one.
-            ol = lens[p]
-            stores[p].append((pk.value, pk.arrival_slot, 0))
-            tv[p] += pk.value
-            lens[p] = ol + 1
-            accepted += 1
-            if not ol:
-                nm |= bit[r]
-                insort(active, p)
-                is_act[p] = True
-                if sched is None:
-                    hr[p] = works[p]
-                    amask[p] = 1
-                else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
-        self.occupancy = occ
-        self._nm = nm
-        metrics.accepted += accepted
-        metrics.dropped += dropped
-        metrics.pushed_out += pushed
-
-    @hot_path
-    def _arrive_generic(
-        self, burst: Sequence[Packet], policy: Any
-    ) -> None:
-        """Batched arrival phase for policies without a kernel.
-
-        Greedy (push-out) policies bulk-accept while space remains —
-        their ``admit`` returns ``ACCEPT`` without touching policy
-        state when the buffer is not full, and the occupancy never
-        shrinks during an arrival phase. Threshold policies bulk-drop
-        once full for the symmetric reason. Everything else (and every
-        congested arrival) runs the policy's own ``admit`` against the
-        columnar view, so decisions match the reference by
-        construction.
-        """
-        view = self.view
-        metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
-        simple = self._reserved is None
-        # Split models gate admissibility per port, so the greedy
-        # bulk-accept shortcut only holds on the purely shared model
-        # (churn alone is fine: down-port arrivals are filtered first).
-        greedy = self._greedy and simple
-        threshold = self._threshold
-        n_down = self._n_down
-        port_up = self._port_up
-        cap = self._B
-        for pk in burst:
-            if n_down and not port_up[pk.port]:
-                metrics.dropped += 1
-                dropped_by_port[pk.port] += 1
-                continue
-            if self.occupancy < cap:
-                if greedy:
-                    self._admit(pk)
-                    self.occupancy += 1
-                    metrics.accepted += 1
-                    continue
-            elif threshold:
-                # Full buffer: can_accept is false for every up port
-                # under both models, so thresholds drop unconditionally.
-                metrics.dropped += 1
-                dropped_by_port[pk.port] += 1
-                continue
-            decision = policy.admit(view, pk)
-            action = decision.action
-            if action is Action.DROP:
-                metrics.dropped += 1
-                dropped_by_port[pk.port] += 1
-                continue
-            if action is Action.PUSH_OUT:
-                victim_port = decision.victim_port
-                assert victim_port is not None  # enforced by Decision
-                if not 0 <= victim_port < self._nr:
-                    raise PolicyError(
-                        f"push-out victim port {victim_port} out of range"
-                    )
-                if self._lens[victim_port] == 0:
-                    raise PolicyError(
-                        f"policy pushed out from empty queue {victim_port}"
-                    )
-                self._pop_tail_fast(victim_port)
-                self.occupancy -= 1
-                metrics.pushed_out += 1
-                dropped_by_port[victim_port] += 1
-            if simple:
-                if self.occupancy >= cap:
-                    raise PolicyError(
-                        "policy accepted a packet into a full buffer "
-                        f"(occupancy={self.occupancy}, B={cap})"
-                    )
-            elif not self._fits(pk.port):
-                raise PolicyError(
-                    f"policy accepted a packet for port {pk.port} with no "
-                    "usable slot"
-                )
-            self._admit(pk)
-            self.occupancy += 1
-            metrics.accepted += 1
-
-    def _pop_tail_fast(self, port: int) -> None:
-        """Drop the tail of ``port``'s queue without materializing it."""
-        lens = self._lens
-        length = lens[port]
-        if self._by_value:
-            value = self._vals[port].pop(0)
-            rec = self._recs[port].pop(0)
-            self._tw[port] -= rec[3]  # type: ignore[index]
-        elif not self._fast_fifo:
-            rec = self._stores[port].pop()
-            value = rec[0]
-            self._tw[port] -= rec[3]  # type: ignore[index]
-        else:
-            value = self._stores[port].pop()[0]
-        self._tv[port] -= value
-        lens[port] = length - 1
-        if length == 1:
-            self._deactivate(port)
-
-    # ------------------------------------------------------------------
-    # Columnar arrival kernels (trace columns in, no Packet objects)
-    # ------------------------------------------------------------------
-
-    @hot_path
-    def _arrive_lqd_cols(
-        self,
-        ports: Sequence[int],
-        values: Sequence[float],
-        arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Columnar twin of :meth:`_arrive_lqd` over trace columns."""
-        metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
-        lens = self._lens
-        tv = self._tv
-        stores = self._stores
-        hr = self._hr
-        amask = self._amask
-        sched = self._sched
-        hexp = self._hexp
-        tick = self._tick
-        active = self._active
-        is_act = self._is_act
-        works = self._works
-        rank = self._rank
-        porder = self._porder
-        bit = self._bit
-        masks = self._masks
-        maxl = self._maxl
-        topr = self._topr
-        occ = self.occupancy
-        cap = self._B
-        slot = self.current_slot
-        accepted = 0
-        dropped = 0
-        pushed = 0
         free = cap - occ
         split = lo
         if free > 0:
@@ -1839,6 +1338,9 @@ class VectorizedSwitch:
                         else:
                             b.append(p)
                 masks[nl] |= bit[r]
+                # No queue shrank: the maximum can only move up to nl
+                # (then the arrival's rank is alone there) or gain the
+                # arrival's bit at the same level.
                 if nl > maxl:
                     maxl = nl
                     topr = r
@@ -1853,6 +1355,9 @@ class VectorizedSwitch:
                 dropped += 1
                 dropped_by_port[p] += 1
                 continue
+            # Push out the tail of the max-key queue. The own queue
+            # cannot be the victim here: had (nl, r) matched
+            # (maxl, topr) the arrival would have been dropped above.
             t = porder[topr]
             masks[maxl] ^= bit[topr]
             vl = maxl - 1
@@ -1892,6 +1397,9 @@ class VectorizedSwitch:
                     else:
                         b.append(p)
             masks[nl] |= bit[r]
+            # The old maximum lost its top rank and the arrival
+            # entered at nl <= maxl; recompute downward (the own
+            # bit at nl bounds the scan, so maxl stays >= 1).
             while not masks[maxl]:
                 maxl -= 1
             topr = masks[maxl].bit_length() - 1
@@ -1911,7 +1419,13 @@ class VectorizedSwitch:
         lo: int,
         hi: int,
     ) -> None:
-        """Columnar twin of :meth:`_arrive_lwd` over trace columns."""
+        """Batched LWD arrival phase over integer work codes.
+
+        Victim key: ``(W_j + [j = i] w_i, w_j, j)`` argmax. Codes
+        ``(W_j + off) * n + r_j`` preserve the lexicographic order
+        because ranks are unique below ``n``; ``codes`` stays sorted
+        ascending so its last element is the current victim key.
+        """
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
@@ -1938,6 +1452,8 @@ class VectorizedSwitch:
         accepted = 0
         dropped = 0
         pushed = 0
+        # Split exactly like the LQD kernel: greedy bulk-accept of the
+        # run that fits, then a congested loop with no occupancy check.
         free = cap - occ
         split = lo
         if free > 0:
@@ -2001,6 +1517,8 @@ class VectorizedSwitch:
             if vl:
                 tc = top - works[t] * nr
                 pcode[t] = tc
+                # tc + works[t]*nr == top: the popped key is exactly
+                # the victim queue's next-accept code.
                 ncode[t] = top
                 insort(codes, tc)
             else:
@@ -2055,7 +1573,13 @@ class VectorizedSwitch:
         lo: int,
         hi: int,
     ) -> None:
-        """Columnar twin of :meth:`_arrive_bpd` over trace columns."""
+        """Batched BPD arrival phase over the non-empty rank bitmask.
+
+        Victim key: ``(w_j, j)`` argmax over non-empty queues — the
+        highest set rank bit. Accept iff the arrival's own static key
+        is <= the victim's (equality means the arrival raids its own
+        queue's tail, exactly like the reference).
+        """
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
@@ -2079,6 +1603,8 @@ class VectorizedSwitch:
         accepted = 0
         dropped = 0
         pushed = 0
+        # Split exactly like the LQD kernel: greedy bulk-accept of the
+        # run that fits, then a congested loop with no occupancy check.
         free = cap - occ
         split = lo
         if free > 0:
@@ -2136,6 +1662,8 @@ class VectorizedSwitch:
                     amask[t] = 0
             pushed += 1
             dropped_by_port[t] += 1
+            # Read the own length only now: when r == vr the arrival
+            # raided its own queue's tail, shortening it by one.
             ol = lens[p]
             stores[p].append(
                 (
@@ -2178,17 +1706,29 @@ class VectorizedSwitch:
         arrivals: Optional[Sequence[int]],
         lo: int,
         hi: int,
+        packets: Optional[Sequence[Packet]],
     ) -> None:
-        """Columnar twin of :meth:`_arrive_generic`.
+        """Batched arrival phase for policies without a kernel.
 
-        Bulk greedy accepts and bulk threshold drops never build a
-        packet; only arrivals that actually consult ``policy.admit``
-        materialize a transient template for the call.
+        Greedy (push-out) policies bulk-accept while space remains —
+        their ``admit`` returns ``ACCEPT`` without touching policy
+        state when the buffer is not full, and the occupancy never
+        shrinks during an arrival phase. Threshold policies bulk-drop
+        once full for the symmetric reason. Everything else (and every
+        congested arrival) runs the policy's own ``admit`` against the
+        columnar view, so decisions match the reference by
+        construction. The policy sees the caller's own packet when the
+        slot came in as a ``Packet`` burst (so tags such as
+        ``opt_accept`` reach it), else a transient template built from
+        the columns.
         """
         view = self.view
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         simple = self._reserved is None
+        # Split models gate admissibility per port, so the greedy
+        # bulk-accept shortcut only holds on the purely shared model
+        # (churn alone is fine: down-port arrivals are filtered first).
         greedy = self._greedy and simple
         threshold = self._threshold
         n_down = self._n_down
@@ -2203,7 +1743,7 @@ class VectorizedSwitch:
                 continue
             if self.occupancy < cap:
                 if greedy:
-                    self._admit_cols(
+                    self._admit(
                         p,
                         works[i],
                         values[i],
@@ -2213,13 +1753,18 @@ class VectorizedSwitch:
                     metrics.accepted += 1
                     continue
             elif threshold:
+                # Full buffer: can_accept is false for every up port
+                # under both models, so thresholds drop unconditionally.
                 metrics.dropped += 1
                 dropped_by_port[p] += 1
                 continue
             w = works[i]
             v = values[i]
             a = arrivals[i] if arrivals is not None else slot
-            pk = _new_packet(p, w, v, a, 0, w)
+            if packets is None:
+                pk = _new_packet(p, w, v, a, 0, w)
+            else:
+                pk = packets[i]
             decision = policy.admit(view, pk)
             action = decision.action
             if action is Action.DROP:
@@ -2252,7 +1797,7 @@ class VectorizedSwitch:
                     f"policy accepted a packet for port {p} with no "
                     "usable slot"
                 )
-            self._admit_cols(p, w, v, a)
+            self._admit(p, w, v, a)
             self.occupancy += 1
             metrics.accepted += 1
 

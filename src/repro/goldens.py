@@ -15,7 +15,9 @@ reduced to two sha256 digests per pinned policy:
   :meth:`~repro.core.metrics.SwitchMetrics.snapshot`. Fast-mode runs
   carry no observer (an attached observer routes the vectorized engine
   onto its per-packet slow path), so this is the digest that pins the
-  *batched* hot path.
+  *batched* hot path. Fast mode replays the panel twice — once as the
+  object trace, once as its columnar twin (the vectorized engine's
+  production input) — and both runs must digest identically.
 
 Sequence numbers are deliberately excluded from every token: they
 depend on process-global draw interleaving and (in the vectorized fast
@@ -198,14 +200,16 @@ def metrics_digest(metrics: SwitchMetrics) -> str:
 
 def _run_hashed(
     panel, policy_name: str, slots_scale: float, engine: str
-) -> Tuple[str, str, str]:
-    """One observed run plus one fast-mode run of a panel policy.
+) -> Tuple[str, str, str, str]:
+    """One observed run plus two fast-mode runs of a panel policy.
 
-    Returns ``(stream_sha256, metrics_sha256, fast_metrics_sha256)``.
-    The observed run renders the decision stream (on the vectorized
-    engine this takes its per-packet slow path); the unobserved run
-    exercises the engine's fast mode, whose final metrics must digest
-    identically — that equality is itself part of the check.
+    Returns ``(stream_sha256, metrics_sha256, fast_metrics_sha256,
+    columnar_fast_metrics_sha256)``. The observed run renders the
+    decision stream (on the vectorized engine this takes its
+    per-packet slow path); the unobserved runs exercise the engine's
+    fast mode on the object trace and on the columnar trace, whose
+    final metrics must digest identically — those equalities are
+    themselves part of the check.
     """
     config = panel.config()
     trace = panel.trace(slots_scale)
@@ -217,10 +221,16 @@ def _run_hashed(
     fast = PolicySystem(config, make_policy(policy_name), engine=engine)
     fast_metrics = run_system(fast, trace)
 
+    columnar = PolicySystem(config, make_policy(policy_name), engine=engine)
+    columnar_metrics = run_system(
+        columnar, panel.columnar_trace(slots_scale)
+    )
+
     return (
         hasher.hexdigest(),
         metrics_digest(observed_metrics),
         metrics_digest(fast_metrics),
+        metrics_digest(columnar_metrics),
     )
 
 
@@ -265,7 +275,7 @@ def compute_goldens(
             )
         policies: Dict[str, Dict[str, str]] = {}
         for policy_name in panel.policies:
-            stream, metrics, fast_metrics = _run_hashed(
+            stream, metrics, fast_metrics, columnar_metrics = _run_hashed(
                 panel, policy_name, slots_scale, engine
             )
             if fast_metrics != metrics:
@@ -273,6 +283,13 @@ def compute_goldens(
                     f"{name}/{policy_name}: fast-mode metrics diverge "
                     f"from the observed run on engine {engine!r} "
                     f"({fast_metrics[:12]} != {metrics[:12]})"
+                )
+            if columnar_metrics != fast_metrics:
+                raise ConfigError(
+                    f"{name}/{policy_name}: fast-mode metrics on the "
+                    "columnar trace diverge from the object trace on "
+                    f"engine {engine!r} ({columnar_metrics[:12]} != "
+                    f"{fast_metrics[:12]})"
                 )
             policies[policy_name] = {
                 "stream_sha256": stream,
@@ -297,7 +314,9 @@ def check_goldens(
     holds). Every engine in ``engines`` must reproduce the committed
     stream and metrics digests exactly — this is the absolute half of
     the oracle contract (the differential suites are the relative
-    half).
+    half). Recomputing raises :class:`ConfigError` when a fast-mode
+    run, on the object or the columnar trace, diverges from the
+    observed run.
     """
     committed = load_goldens(path)
     scale = float(committed["slots_scale"])

@@ -100,3 +100,14 @@ class TestScenario:
         # Theorem 5 requires B >= k(k+1)/2.
         assert main(["scenario", "thm5", "--k", "10", "--buffer", "12"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestTrace:
+    def test_verify_missing_file_is_one_error_line(self, capsys, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["trace", "--verify", str(missing)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

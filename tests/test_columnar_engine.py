@@ -169,6 +169,43 @@ def test_periodic_check_passes_clean_vectorized_run(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Packet bursts: converted to columns at entry
+# ----------------------------------------------------------------------
+
+
+def test_packet_burst_tags_reach_the_policy():
+    """Policies consulted on a converted ``Packet`` burst see the
+    caller's packets, so scripted-OPT tags survive the conversion."""
+    from repro.opt.scripted import ScriptedPolicy
+    from repro.traffic.trace import burst
+
+    config = SwitchConfig.contiguous(2, 4)
+    trace = Trace()
+    trace.append_slot(burst(0, port=0, count=6, opt_accept_first=3))
+    trace.append_slot(burst(1, port=1, count=2, work=2, opt_accept_first=1))
+    snapshots = []
+    for engine in ("reference", "vectorized"):
+        system = PolicySystem(config, ScriptedPolicy(), engine=engine)
+        snapshots.append(run_system(system, trace).snapshot())
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[1]["accepted"] == 4
+
+
+def test_burst_validation_memo_keyed_on_the_burst():
+    """A burst replayed across switches validates once, keyed on the
+    burst object; the per-call column lists never enter the memo."""
+    from repro.core import columnar
+
+    config = SwitchConfig.contiguous(3, 6)
+    slot = [Packet(port=p % 3, work=p % 3 + 1) for p in range(5)]
+    before = set(columnar._VALIDATED)
+    for _ in range(3):
+        VectorizedSwitch(config).run_slot(slot, make_policy("LQD"))
+    added = set(columnar._VALIDATED) - before
+    assert added == {(id(slot), id(config))}
+
+
+# ----------------------------------------------------------------------
 # Backend forcing: the pure-python column fallback
 # ----------------------------------------------------------------------
 

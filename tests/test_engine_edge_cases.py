@@ -5,6 +5,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.core.columnar import VectorizedSwitch
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import TraceError
 from repro.core.packet import Packet
@@ -72,6 +73,30 @@ class TestArrivalValidation:
             )
         # The valid prefix was applied before the error.
         assert switch.occupancy == 1
+
+    @pytest.mark.parametrize("policy_name", ["LQD", "NHST"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param({"port": 1, "work": 5}, id="work-mismatch"),
+            pytest.param({"port": 2, "work": 1}, id="port-out-of-range"),
+        ],
+    )
+    def test_vectorized_rejects_whole_burst_before_any_lands(
+        self, bad, policy_name
+    ):
+        # Vectorized counterpart of the test above: the engine validates
+        # the whole converted burst first, so no packet of it lands,
+        # whichever kernel the policy binds.
+        config = SwitchConfig.contiguous(2, 4)
+        switch = VectorizedSwitch(config)
+        with pytest.raises(TraceError):
+            switch.run_slot(
+                [Packet(port=0, work=1), Packet(**bad)],
+                make_policy(policy_name),
+            )
+        assert switch.occupancy == 0
+        assert switch.metrics.arrived == 0
 
 
 class TestScriptedFeasibilityThroughRunner:

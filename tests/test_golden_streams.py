@@ -75,6 +75,22 @@ def test_compute_goldens_rejects_unknown_panel():
         compute_goldens(["no-such-panel"])
 
 
+def test_compute_goldens_requires_columnar_fast_run_equality(monkeypatch):
+    """A fast-mode run on the columnar trace that diverges from the
+    object-trace fast run fails the golden computation."""
+    from repro.core.columnar import VectorizedSwitch
+
+    original = VectorizedSwitch.run_slot_columns
+
+    def skewed(self, *args, **kwargs):
+        self.metrics.arrived += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorizedSwitch, "run_slot_columns", skewed)
+    with pytest.raises(ConfigError, match="columnar trace"):
+        compute_goldens(["uniform-proc-small"], engine="vectorized")
+
+
 def test_compute_goldens_is_deterministic():
     once = compute_goldens(["uniform-proc-small"])
     twice = compute_goldens(["uniform-proc-small"])

@@ -12,12 +12,14 @@ built on top of them.
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.analysis.competitive import PolicySystem
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.packet import Packet
 from repro.opt.exhaustive import TinyInstance, exhaustive_opt
+from repro.opt.surrogate import make_surrogate
 from repro.policies import make_policy
 
 
@@ -145,3 +147,45 @@ def test_oracle_monotone_in_buffer(scenario):
         TinyInstance(config=bigger_config, arrivals=arrivals), by_value=True
     )
     assert big >= small - 1e-9
+
+
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+def test_surrogate_is_not_an_upper_bound_on_opt(engine):
+    """Pinned counterexample: the single-PQ OPT surrogate (Section V-A)
+    transmits fewer packets than the exact offline optimum.
+
+    Works (1, 3), B = 4, C = 1. OPT transmits 7 of the 8 arrivals; the
+    drained surrogate transmits 6 on both engines, so Fig. 5 processing
+    ratios measured against it are not always ratios to a true upper
+    bound on OPT.
+    """
+    config = SwitchConfig.from_works((1, 3), 4)
+    arrivals = (
+        ((1, 1.0),),
+        ((1, 1.0), (1, 1.0), (0, 1.0), (0, 1.0)),
+        ((1, 1.0),),
+        ((0, 1.0), (0, 1.0)),
+    )
+    oracle = exhaustive_opt(
+        TinyInstance(config=config, arrivals=arrivals), by_value=False
+    )
+    surrogate = make_surrogate(config, by_value=False, engine=engine)
+    for slot, burst in enumerate(arrivals):
+        surrogate.run_slot(
+            [
+                Packet(
+                    port=port,
+                    work=config.work_of(port),
+                    value=value,
+                    arrival_slot=slot,
+                )
+                for port, value in burst
+            ]
+        )
+    guard = config.buffer_size * config.max_work + 1
+    while surrogate.backlog > 0 and guard > 0:
+        surrogate.run_slot(())
+        guard -= 1
+    assert surrogate.backlog == 0
+    assert oracle == 7
+    assert surrogate.metrics.objective(False) == 6
