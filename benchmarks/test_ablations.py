@@ -20,7 +20,10 @@ from repro.analysis.competitive import measure_competitive_ratio
 from repro.core.config import SwitchConfig
 from repro.opt.surrogate import SrptSurrogate
 from repro.policies import make_policy
-from repro.traffic.workloads import processing_workload
+from repro.traffic.columnar import (
+    columnar_processing_workload,
+    columnar_value_port_workload,
+)
 
 from conftest import BENCH_SLOTS, run_once
 
@@ -28,7 +31,7 @@ from conftest import BENCH_SLOTS, run_once
 @pytest.fixture(scope="module")
 def workload():
     config = SwitchConfig.contiguous(8, 64)
-    trace = processing_workload(
+    trace = columnar_processing_workload(
         config, max(BENCH_SLOTS, 600), load=3.0, seed=21,
         mean_on_slots=20, mean_off_slots=1980,
     )
@@ -82,7 +85,7 @@ def test_ablation_burstiness(benchmark):
     def sweep():
         gaps = {}
         for mean_on, mean_off in ((10, 30), (20, 380), (20, 1980)):
-            trace = processing_workload(
+            trace = columnar_processing_workload(
                 config, max(BENCH_SLOTS, 600), load=3.0, seed=5,
                 mean_on_slots=mean_on, mean_off_slots=mean_off,
             )
@@ -144,17 +147,14 @@ def test_engine_throughput(benchmark, policy_name):
     """Simulation-core packets/second per policy (micro-benchmark)."""
     if policy_name == "MRD":
         config = SwitchConfig.value_contiguous(8, 64)
-        trace = processing_workload  # placeholder, replaced below
-        from repro.traffic.workloads import value_port_workload
-
-        trace = value_port_workload(
+        trace = columnar_value_port_workload(
             config, 400, load=3.0, seed=1,
             mean_on_slots=20, mean_off_slots=380,
         )
         by_value = True
     else:
         config = SwitchConfig.contiguous(8, 64)
-        trace = processing_workload(
+        trace = columnar_processing_workload(
             config, 400, load=3.0, seed=1,
             mean_on_slots=20, mean_off_slots=380,
         )

@@ -13,7 +13,10 @@ from repro.analysis.conjecture import adversarial_search, probe_policy
 from repro.core.config import SwitchConfig
 from repro.policies import make_policy
 from repro.traffic.adversarial import thm3_nhdt
-from repro.traffic.workloads import processing_workload, value_port_workload
+from repro.traffic.columnar import (
+    columnar_processing_workload,
+    columnar_value_port_workload,
+)
 
 from conftest import BENCH_SLOTS, run_once
 
@@ -47,7 +50,9 @@ def test_nhdtw_on_theorem3_nemesis(benchmark):
 def test_nhdtw_on_mmpp(benchmark):
     """NHDT-W should not lose to NHDT on ordinary bursty traffic either."""
     config = SwitchConfig.contiguous(12, 96)
-    trace = processing_workload(config, BENCH_SLOTS, load=3.0, seed=0)
+    trace = columnar_processing_workload(
+        config, BENCH_SLOTS, load=3.0, seed=0
+    )
 
     def run():
         return {
@@ -69,11 +74,11 @@ def test_nhdtw_on_mmpp(benchmark):
 def test_one_packet_refinement_on_good_policies(benchmark):
     """BPD needs BPD1; do LWD/MRD need LWD1/MRD1? (Answer: barely.)"""
     proc_config = SwitchConfig.contiguous(8, 64)
-    proc_trace = processing_workload(
+    proc_trace = columnar_processing_workload(
         proc_config, BENCH_SLOTS, load=3.0, seed=4
     )
     value_config = SwitchConfig.value_contiguous(8, 64)
-    value_trace = value_port_workload(
+    value_trace = columnar_value_port_workload(
         value_config, BENCH_SLOTS, load=3.0, seed=4
     )
 

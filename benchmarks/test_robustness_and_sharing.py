@@ -16,7 +16,7 @@ from repro.core.config import SwitchConfig
 from repro.experiments.robustness import run_robustness_study
 from repro.experiments.skewed import run_skew_sweep
 from repro.policies import make_policy
-from repro.traffic.workloads import processing_workload
+from repro.traffic.columnar import columnar_processing_workload
 
 from conftest import BENCH_SLOTS, run_once
 
@@ -59,9 +59,9 @@ def test_skewed_value_distributions(benchmark):
 
 def test_horizon_convergence(benchmark):
     config = SwitchConfig.contiguous(8, 64)
-    trace = processing_workload(
+    trace = columnar_processing_workload(
         config, max(4 * BENCH_SLOTS, 3000), load=3.0, seed=1
-    )
+    ).to_trace()
 
     profile = run_once(
         benchmark,
@@ -80,9 +80,9 @@ def test_horizon_convergence(benchmark):
 
 def test_buffer_sharing_spectrum(benchmark):
     config = SwitchConfig.contiguous(8, 64)
-    trace = processing_workload(
+    trace = columnar_processing_workload(
         config, max(BENCH_SLOTS, 1200), load=3.0, seed=2
-    )
+    ).to_trace()
 
     profiles = run_once(
         benchmark,

@@ -16,7 +16,7 @@ from repro.analysis.streaming import stream_competitive
 from repro.core.config import SwitchConfig
 from repro.experiments.fig5 import run_panel
 from repro.policies import make_policy
-from repro.traffic.streaming import stream_processing_workload
+from repro.traffic.columnar import processing_slots
 
 from conftest import BENCH_SLOTS, run_once
 
@@ -31,7 +31,7 @@ def test_streaming_throughput(benchmark, k):
         return stream_competitive(
             make_policy("LWD"),
             config,
-            stream_processing_workload(config, n_slots, load=3.0, seed=0),
+            processing_slots(config, n_slots, load=3.0, seed=0),
             flush_every=500,
         )
 

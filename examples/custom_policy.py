@@ -12,7 +12,11 @@ workloads, sweeps) is reused.
 Run:  python examples/custom_policy.py
 """
 
-from repro import SwitchConfig, measure_competitive_ratio, processing_workload
+from repro import (
+    SwitchConfig,
+    columnar_processing_workload,
+    measure_competitive_ratio,
+)
 from repro.core.decisions import DROP, Decision, push_out
 from repro.core.packet import Packet
 from repro.core.switch import SwitchView
@@ -50,7 +54,9 @@ class LEDD(PushOutPolicy):
 
 def main() -> None:
     config = SwitchConfig.contiguous(k=10, buffer_size=80)
-    trace = processing_workload(config, n_slots=4000, load=3.0, seed=9)
+    trace = columnar_processing_workload(
+        config, n_slots=4000, load=3.0, seed=9
+    )
     print(f"switch: {config.describe()}")
     print(f"trace : {trace.total_packets} packets over {trace.n_slots} slots\n")
 

@@ -2,11 +2,13 @@
 """Run a Fig. 5 measurement at (or toward) the paper's 2*10^6-slot scale.
 
 The default examples use a few thousand slots; this one shows how to go
-all the way. The streaming pipeline (repro.traffic.streaming +
-repro.analysis.streaming) generates each slot's burst on the fly and
-feeds the policy and the OPT surrogate lock-step, so memory stays
-constant regardless of horizon, and checkpoints record the cumulative
-ratio's convergence along the way.
+all the way. The MMPP recipe's per-slot generator
+(repro.traffic.columnar.processing_slots — the same code that builds
+the collected Fig. 5 traces) yields each slot's columns on the fly, and
+repro.analysis.streaming builds that slot's packets and feeds the policy
+and the OPT surrogate lock-step, so memory stays constant regardless of
+horizon, and checkpoints record the cumulative ratio's convergence along
+the way.
 
 Run:  python examples/paper_scale_run.py [n_slots]
       (default 50,000 — a couple of minutes; pass 2000000 for the full
@@ -19,7 +21,7 @@ import time
 from repro.analysis.streaming import stream_competitive
 from repro.core.config import SwitchConfig
 from repro.policies import make_policy
-from repro.traffic.streaming import stream_processing_workload
+from repro.traffic.columnar import processing_slots
 from repro.viz import sparkline
 
 
@@ -34,9 +36,7 @@ def main() -> None:
         result = stream_competitive(
             make_policy(name),
             config,
-            stream_processing_workload(
-                config, n_slots, load=3.0, seed=7
-            ),
+            processing_slots(config, n_slots, load=3.0, seed=7),
             flush_every=500,
             checkpoint_every=max(n_slots // 20, 1),
         )

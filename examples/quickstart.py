@@ -14,8 +14,8 @@ from repro import (
     LQD,
     LWD,
     SwitchConfig,
+    columnar_processing_workload,
     measure_competitive_ratio,
-    processing_workload,
 )
 
 
@@ -27,7 +27,9 @@ def main() -> None:
 
     # The paper's traffic: 500 interleaved MMPP on-off sources, offered
     # load 3x the switch's service capacity (sustained congestion).
-    trace = processing_workload(config, n_slots=3000, load=3.0, seed=42)
+    trace = columnar_processing_workload(
+        config, n_slots=3000, load=3.0, seed=42
+    )
     stats = trace.stats()
     print(
         f"trace : {stats['n_slots']} slots, {stats['total_packets']} packets "

@@ -15,7 +15,7 @@ Run:  python examples/robustness_study.py
 from repro.analysis.occupancy import compare_sharing
 from repro.core.config import SwitchConfig
 from repro.experiments.robustness import run_robustness_study
-from repro.traffic.workloads import processing_workload
+from repro.traffic.columnar import columnar_processing_workload
 
 
 def main() -> None:
@@ -34,7 +34,9 @@ def main() -> None:
 
     print("== buffer sharing (same MMPP trace for all policies) ==")
     config = SwitchConfig.contiguous(8, 64)
-    trace = processing_workload(config, 1500, load=3.0, seed=0)
+    trace = columnar_processing_workload(
+        config, 1500, load=3.0, seed=0
+    ).to_trace()
     for profile in compare_sharing(
         ("NEST", "NHDT", "LQD", "LWD", "BPD"), trace, config
     ):

@@ -25,7 +25,7 @@ from repro.core.config import SwitchConfig
 from repro.opt.scripted import ScriptedPolicy
 from repro.policies import make_policy
 from repro.traffic.adversarial import thm4_lqd, thm5_bpd, thm6_lwd
-from repro.traffic.workloads import processing_workload
+from repro.traffic.columnar import columnar_processing_workload
 
 
 def main() -> None:
@@ -48,10 +48,10 @@ def main() -> None:
     lemma_warnings = 0
     runs = 0
     for seed in range(6):
-        trace = processing_workload(
+        trace = columnar_processing_workload(
             config, 150, load=4.0, seed=seed,
             mean_on_slots=8, mean_off_slots=72, n_sources=25,
-        )
+        ).to_trace()
         for ref_name in ("NEST", "NHDT"):
             report = certify_lwd(trace, config, make_policy(ref_name))
             runs += 1

@@ -13,10 +13,11 @@ study.
 Quickstart
 ----------
 >>> from repro import (
-...     SwitchConfig, LWD, processing_workload, measure_competitive_ratio,
+...     SwitchConfig, LWD, columnar_processing_workload,
+...     measure_competitive_ratio,
 ... )
 >>> config = SwitchConfig.contiguous(k=8, buffer_size=64)
->>> trace = processing_workload(config, n_slots=500, load=2.0, seed=1)
+>>> trace = columnar_processing_workload(config, 500, load=2.0, seed=1)
 >>> result = measure_competitive_ratio(LWD(), trace, config)
 >>> result.ratio >= 1.0
 True
@@ -92,9 +93,9 @@ from repro.traffic import (
     MmppSource,
     Trace,
     burst,
-    processing_workload,
-    value_port_workload,
-    value_uniform_workload,
+    columnar_processing_workload,
+    columnar_value_port_workload,
+    columnar_value_uniform_workload,
 )
 
 __version__ = "1.0.0"
@@ -151,16 +152,16 @@ __all__ = [
     "TraceError",
     "available_policies",
     "burst",
+    "columnar_processing_workload",
+    "columnar_value_port_workload",
+    "columnar_value_uniform_workload",
     "exhaustive_opt",
     "make_policy",
     "make_surrogate",
     "measure_competitive_ratio",
-    "processing_workload",
     "push_out",
     "run_scenario",
     "run_sweep",
     "run_system",
-    "value_port_workload",
-    "value_uniform_workload",
     "__version__",
 ]

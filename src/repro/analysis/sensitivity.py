@@ -19,7 +19,7 @@ from repro.analysis.competitive import measure_competitive_ratio
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
-from repro.traffic.workloads import processing_workload
+from repro.traffic.columnar import columnar_processing_workload
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class SensitivityReport:
 
 def _measure(point: OperatingPoint, policies: Tuple[str, str]) -> Dict[str, float]:
     config = SwitchConfig.contiguous(point.k, max(point.buffer_size, point.k))
-    trace = processing_workload(
+    trace = columnar_processing_workload(
         config,
         point.n_slots,
         load=point.load,

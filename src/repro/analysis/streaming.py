@@ -3,9 +3,12 @@
 :func:`repro.analysis.competitive.measure_competitive_ratio` replays a
 materialized trace twice (once per system). For paper-scale horizons the
 trace itself is the memory bottleneck, so this runner consumes a
-*streaming* workload (an iterator of per-slot bursts) exactly once,
-feeding the online policy and the OPT surrogate the same burst in
-lock-step. Memory is O(switch state); 2*10^6-slot runs are just time.
+recipe's per-slot column stream (e.g.
+:func:`repro.traffic.columnar.processing_slots`, the same generator a
+collected ``columnar_*_workload`` trace comes from) exactly once,
+builds one slot's packets at a time, and feeds the online policy and
+the OPT surrogate that burst in lock-step. Memory is O(switch state);
+2*10^6-slot runs are just time.
 
 Checkpoints (cumulative ratio every ``checkpoint_every`` slots) come for
 free from the single pass, so long runs double as convergence profiles.
@@ -24,6 +27,7 @@ from repro.core.metrics import SwitchMetrics
 from repro.core.packet import Packet
 from repro.core.switch import AdmissionPolicy
 from repro.opt.surrogate import System, make_surrogate
+from repro.traffic.columnar import SlotColumns
 
 
 @dataclass
@@ -62,7 +66,7 @@ class StreamResult:
 def stream_competitive(
     policy: AdmissionPolicy,
     config: SwitchConfig,
-    slot_stream: Iterable[List[Packet]],
+    slot_stream: Iterable[SlotColumns],
     *,
     by_value: Optional[bool] = None,
     flush_every: Optional[int] = None,
@@ -71,8 +75,10 @@ def stream_competitive(
     """Feed one streaming workload to ALG and the OPT surrogate lock-step.
 
     Parameters mirror :func:`~repro.analysis.competitive.
-    measure_competitive_ratio`; ``slot_stream`` is consumed exactly once,
-    so pass a fresh generator (e.g. from :mod:`repro.traffic.streaming`).
+    measure_competitive_ratio`; ``slot_stream`` yields each slot's
+    ``(ports, works, values)`` columns and is consumed exactly once, so
+    pass a fresh generator (e.g. :func:`repro.traffic.columnar.
+    processing_slots`).
     """
     if by_value is None:
         by_value = config.discipline is QueueDiscipline.PRIORITY
@@ -87,7 +93,13 @@ def stream_competitive(
     opt: System = make_surrogate(config, by_value)
     checkpoints: List[ConvergencePoint] = []
     slots = 0
-    for burst in slot_stream:
+    for ports, works, values in slot_stream:
+        burst = [
+            Packet(port=port, work=work, value=value, arrival_slot=slots)
+            for port, work, value in zip(
+                ports.tolist(), works.tolist(), values.tolist()
+            )
+        ]
         alg.run_slot(burst)
         opt.run_slot(burst)
         slots += 1

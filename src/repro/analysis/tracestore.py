@@ -52,7 +52,6 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.traffic.columnar import ColumnarTrace
-from repro.traffic.trace import Trace
 
 __all__ = ["TraceKeyFn", "TraceStore"]
 
@@ -117,15 +116,11 @@ class TraceStore:
     def get_or_build(
         self,
         key: str,
-        builder: Callable[[], Union[Trace, ColumnarTrace]],
+        builder: Callable[[], ColumnarTrace],
     ) -> ColumnarTrace:
         """Return the trace stored under ``key``, building it at most once.
 
         Lookup order: memo, then disk artifact, then ``builder()``.
-        Object :class:`Trace` results are converted via
-        :meth:`ColumnarTrace.from_trace` (packet order and content
-        preserved), so both engines replay the stored trace identically
-        to the freshly generated one.
         """
         if not key:
             raise ConfigError("trace store key must be a non-empty string")
@@ -139,12 +134,7 @@ class TraceStore:
             self.disk_hits += 1
             self._remember(key, trace)
             return trace
-        built = builder()
-        trace = (
-            built
-            if isinstance(built, ColumnarTrace)
-            else ColumnarTrace.from_trace(built)
-        )
+        trace = builder()
         self.builds += 1
         self._save(key, trace)
         self._remember(key, trace)

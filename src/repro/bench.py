@@ -49,6 +49,13 @@ from repro.analysis.competitive import PolicySystem, run_system
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
+from repro.traffic.columnar import (
+    ColumnarTrace,
+    columnar_poisson_workload,
+    columnar_processing_workload,
+    columnar_saturating_workload,
+    columnar_value_uniform_workload,
+)
 from repro.traffic.trace import Trace
 
 #: Report schema version, bumped on incompatible layout changes.
@@ -110,86 +117,48 @@ class BenchPanel:
         )
 
     def trace(self, slots_scale: float = 1.0) -> Trace:
+        """The panel's trace as packet objects."""
+        if self.workload not in ("spike", "flap"):
+            return self.columnar_trace(slots_scale).to_trace()
         n_slots = max(1, int(round(self.n_slots * slots_scale)))
         config = self.config()
-        if self.workload == "uniform":
-            from repro.traffic.patterns import poisson_workload
-
-            return poisson_workload(
-                config, n_slots, load=self.load, seed=self.seed
-            )
-        if self.workload == "mmpp":
-            if self.model == "processing":
-                from repro.traffic.workloads import processing_workload
-
-                return processing_workload(
-                    config, n_slots, load=self.load, seed=self.seed
-                )
-            from repro.traffic.workloads import value_uniform_workload
-
-            return value_uniform_workload(
-                config, n_slots, 16, load=self.load, seed=self.seed
-            )
-        if self.workload == "adversarial":
-            return saturating_workload(config, n_slots, seed=self.seed)
         if self.workload == "spike":
             from repro.traffic.dynamic import oversubscription_spike_workload
 
             return oversubscription_spike_workload(
                 config, n_slots, load=self.load, seed=self.seed
             )
-        if self.workload == "flap":
-            from repro.traffic.dynamic import port_flap_workload
+        from repro.traffic.dynamic import port_flap_workload
 
-            return port_flap_workload(
-                config, n_slots, load=self.load, seed=self.seed
-            )
-        raise ConfigError(f"unknown bench workload {self.workload!r}")
+        return port_flap_workload(
+            config, n_slots, load=self.load, seed=self.seed
+        )
 
-    def columnar_trace(self, slots_scale: float = 1.0):
-        """The panel's trace as flat columns — byte-identical twin.
-
-        Same recipe selection as :meth:`trace`, routed through the
-        columnar generators of :mod:`repro.traffic.columnar`; packet
-        order and content are pinned equal by the differential suite
-        and the golden trace digests.
-        """
+    def columnar_trace(self, slots_scale: float = 1.0) -> ColumnarTrace:
+        """The panel's trace as flat columns, from its recipe's generator
+        (:mod:`repro.traffic.columnar`)."""
         n_slots = max(1, int(round(self.n_slots * slots_scale)))
         config = self.config()
         if self.workload == "uniform":
-            from repro.traffic.columnar import columnar_poisson_workload
-
             return columnar_poisson_workload(
                 config, n_slots, load=self.load, seed=self.seed
             )
         if self.workload == "mmpp":
             if self.model == "processing":
-                from repro.traffic.columnar import (
-                    columnar_processing_workload,
-                )
-
                 return columnar_processing_workload(
                     config, n_slots, load=self.load, seed=self.seed
                 )
-            from repro.traffic.columnar import (
-                columnar_value_uniform_workload,
-            )
-
             return columnar_value_uniform_workload(
                 config, n_slots, 16, load=self.load, seed=self.seed
             )
         if self.workload == "adversarial":
-            from repro.traffic.columnar import columnar_saturating_workload
-
             return columnar_saturating_workload(
                 config, n_slots, seed=self.seed
             )
         if self.workload in ("spike", "flap"):
             # The dynamic generators are pure-python slot loops with no
-            # vectorizable inner structure; the columnar twin is the
-            # exact conversion (byte-identical by construction).
-            from repro.traffic.columnar import ColumnarTrace
-
+            # vectorizable inner structure; their columns are the exact
+            # conversion.
             return ColumnarTrace.from_trace(self.trace(slots_scale))
         raise ConfigError(f"unknown bench workload {self.workload!r}")
 
@@ -219,56 +188,6 @@ class BenchPanel:
             "reserved_per_port": self.reserved_per_port,
             "policies": list(self.policies),
         }
-
-
-def saturating_workload(
-    config: SwitchConfig, n_slots: int, *, seed: int = 0
-) -> Trace:
-    """Adversarial congestion: ~1.5n uniformly-addressed packets per slot.
-
-    Offered load is far above any service rate, so after a couple of
-    slots the buffer is permanently full and every single arrival goes
-    through the policy's congested-path victim search. Value-model
-    packets draw small integer values so exact value ties (the hard
-    tie-breaking cases) occur constantly.
-    """
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    if np is None:
-        raise ConfigError(
-            "the adversarial bench workload needs numpy (its packet "
-            "stream is pinned to numpy's PCG64); install numpy or pick "
-            "a different panel"
-        )
-    rng = np.random.default_rng(seed)
-    n = config.n_ports
-    per_slot = max(2, (3 * n) // 2)
-    works = config.works
-    values = config.values
-    by_value = config.discipline is QueueDiscipline.PRIORITY
-    from repro.core.packet import Packet
-
-    trace = Trace()
-    for slot in range(n_slots):
-        ports = rng.integers(0, n, size=per_slot)
-        if by_value:
-            vals = rng.integers(1, 17, size=per_slot)
-            burst = [
-                Packet(port=int(p), work=1, value=float(v), arrival_slot=slot)
-                for p, v in zip(ports, vals)
-            ]
-        else:
-            burst = [
-                Packet(
-                    port=int(p),
-                    work=works[int(p)],
-                    value=values[int(p)],
-                    arrival_slot=slot,
-                )
-                for p in ports
-            ]
-        trace.append_slot(burst)
-    return trace
 
 
 _PROC_POLICIES = ("LQD", "LWD", "BPD")
@@ -647,12 +566,12 @@ def run_pipeline_panel_bench(
     (unlike :func:`run_panel_bench`, which times the slot loop alone),
     and every cell pays its own OPT run, as the real sweep does.
 
-    ``accelerated=False`` is the tracked baseline: object traces
-    regenerated per cell (what ``run_sweep`` did before the trace
-    store existed), the vectorized ALG engine (the pre-pipeline state
-    of the repo), and the reference ``bisect`` OPT surrogate.
-    ``accelerated=True`` swaps in the columnar trace pipeline:
-    columnar twin generators, cross-cell reuse through a
+    ``accelerated=False`` is the tracked baseline: traces regenerated
+    and materialized as packet objects per cell (what ``run_sweep``
+    did before the trace store existed), the vectorized ALG engine (the
+    pre-pipeline state of the repo), and the reference ``bisect`` OPT
+    surrogate. ``accelerated=True`` swaps in the columnar trace
+    pipeline: cross-cell reuse through a
     :class:`~repro.analysis.tracestore.TraceStore`, zero-copy columnar
     ingestion, and the vectorized OPT surrogate. Per-cell objectives
     (ALG and OPT) are recorded so any decision drift between the two

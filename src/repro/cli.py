@@ -194,7 +194,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             journal=journal,
             fault_injector=injector,
             engine=args.engine,
-            trace_backend=args.trace_backend,
             trace_reuse=args.trace_reuse or None,
             farm=_farm_options(args),
         )
@@ -326,11 +325,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
             else None
         ),
         engine=args.engine or "reference",
-        trace_backend=args.trace_backend or "object",
         trace_reuse=bool(args.trace_reuse),
         farm=_farm_options(args),
     )
-    write_report(args.out, options)
+    try:
+        write_report(args.out, options)
+    except OSError as exc:
+        print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
+        return 2
     print(f"# wrote {args.out}")
     return 0
 
@@ -363,6 +365,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
         return 0
 
+    # Read the baseline before measuring: a missing file should not
+    # cost a whole bench run first.
+    baseline = None
+    if args.baseline:
+        try:
+            baseline = load_report(args.baseline)
+        except (OSError, ValueError) as exc:
+            print(
+                f"error: cannot read baseline {args.baseline}: {exc}",
+                file=sys.stderr,
+            )
+            return 2
+
     if args.pipeline:
         from repro.bench import (
             PIPELINE_PANELS,
@@ -386,8 +401,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(format_pipeline_report(report))
         path = write_report(report, args.out_dir)
         print(f"# wrote {path}")
-        if args.baseline:
-            baseline = load_report(args.baseline)
+        if baseline is not None:
             if args.min_speedup is not None:
                 shortfalls = compare_speedup(
                     report,
@@ -449,8 +463,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     path = write_report(report, args.out_dir)
     print(f"# wrote {path}")
 
-    if args.baseline:
-        baseline = load_report(args.baseline)
+    if baseline is not None:
         if args.min_speedup is not None:
             # Speedup floor (vectorized-engine acceptance): every gated
             # panel must beat the baseline by min_speedup, with the
@@ -601,7 +614,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         cache_dir=None,  # caching would hide the cost being measured
         progress=progress,
         engine=args.engine,
-        trace_backend=args.trace_backend,
         trace_reuse=args.trace_reuse or None,
     )
     if not isinstance(result, SweepResult):
@@ -740,7 +752,6 @@ def _cmd_farm_serve(args: argparse.Namespace) -> int:
         out=args.out,
         plot=False,
         engine=None,
-        trace_backend=None,
         trace_reuse=False,
         jobs=1,
         cache_dir=args.cache_dir,
@@ -1369,21 +1380,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    """Trace-pipeline knobs shared by ``run``/``report``/``profile``.
+    """Trace-pipeline knob shared by ``run``/``report``/``profile``.
 
-    Like ``--engine`` they are execution-only: the columnar generators
-    are byte-identical twins of the object generators, and trace reuse
-    only skips regenerating identical traces — output bytes never
-    change (docs/PIPELINE.md).
+    Like ``--engine`` it is execution-only: trace reuse only skips
+    regenerating identical traces — output bytes never change
+    (docs/PIPELINE.md).
     """
-    parser.add_argument(
-        "--trace-backend", choices=("object", "columnar"), default=None,
-        help=(
-            "MMPP trace generator family for Fig. 5 panels "
-            "(byte-identical streams; columnar feeds the vectorized "
-            "engine without packet objects; default object)"
-        ),
-    )
     parser.add_argument(
         "--trace-reuse", action="store_true",
         help=(

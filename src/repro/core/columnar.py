@@ -205,7 +205,7 @@ class ColumnarView:
         if reserved is None:
             return s.occupancy < s._B
         if s._lens[port] < reserved[port]:
-            return True
+            return s.occupancy < s._B
         return s._shared_occupancy() < s._shared_pool + s._down_reserved
 
     @property
@@ -1007,7 +1007,7 @@ class VectorizedSwitch:
         if reserved is None:
             return self.occupancy < self._B
         if self._lens[port] < reserved[port]:
-            return True
+            return self.occupancy < self._B
         return self._shared_occupancy() < self._shared_pool + self._down_reserved
 
     def set_port_state(self, port: int, up: bool) -> int:

@@ -118,13 +118,17 @@ class SwitchView:
         a reserved + shared :class:`~repro.core.config.BufferModel` split
         a packet fits while its queue is below its reservation or the
         shared pool (plus any reclaimed down-port reservations) has room.
+        A reservation is usable only while the buffer has a free slot: a
+        port that comes back up can find other ports' shared overflow
+        still holding its reserved slots (the pool is over-committed
+        until that overflow drains).
         """
         switch = self._switch
         reserved = switch._reserved
         if reserved is None:
             return switch.occupancy < switch.config.buffer_size
         if len(switch.queues[port]) < reserved[port]:
-            return True
+            return switch.occupancy < switch.config.buffer_size
         return switch._shared_occ < switch._shared_pool + switch._down_reserved
 
     @property
@@ -488,12 +492,13 @@ class SharedMemorySwitch:
         self.metrics.record_accept(admitted)
 
     def _fits(self, port: int) -> bool:
-        """Whether an arrival to ``port`` has a usable free slot."""
+        """Whether an arrival to ``port`` has a usable free slot
+        (same rule as :meth:`SwitchView.can_accept`)."""
         reserved = self._reserved
         if reserved is None:
             return self.occupancy < self.config.buffer_size
         if len(self.queues[port]) < reserved[port]:
-            return True
+            return self.occupancy < self.config.buffer_size
         return self._shared_occ < self._shared_pool + self._down_reserved
 
     def _validate_arrival(self, packet: Packet) -> None:

@@ -28,8 +28,8 @@ from repro.core.config import SwitchConfig
 from repro.core.metrics import SwitchMetrics
 from repro.policies import make_policy
 from repro.singlequeue import SingleQueueSystem
+from repro.traffic.columnar import columnar_processing_workload
 from repro.traffic.trace import Trace
-from repro.traffic.workloads import processing_workload
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,9 @@ def run_architecture_comparison(
     """
     config = SwitchConfig.contiguous(k, buffer_size)
     if trace is None:
-        trace = processing_workload(config, n_slots, load=load, seed=seed)
+        trace = columnar_processing_workload(
+            config, n_slots, load=load, seed=seed
+        ).to_trace()
     offered = trace.per_port_counts(config.n_ports)
 
     systems = {

@@ -23,13 +23,15 @@ from repro.analysis.competitive import measure_competitive_ratio
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
+from repro.traffic.columnar import (
+    columnar_poisson_workload,
+    columnar_processing_workload,
+)
 from repro.traffic.patterns import (
     heavy_tailed_workload,
     periodic_burst_workload,
-    poisson_workload,
 )
 from repro.traffic.trace import Trace
-from repro.traffic.workloads import processing_workload
 
 #: Default policy line-up (the paper's processing-model policies).
 DEFAULT_POLICIES: Tuple[str, ...] = (
@@ -41,12 +43,12 @@ def _traffic_families(
     config: SwitchConfig, n_slots: int, load: float, seed: int
 ) -> Dict[str, Trace]:
     return {
-        "mmpp": processing_workload(
+        "mmpp": columnar_processing_workload(
             config, n_slots, load=load, seed=seed
-        ),
-        "poisson": poisson_workload(
+        ).to_trace(),
+        "poisson": columnar_poisson_workload(
             config, n_slots, load=load, seed=seed
-        ),
+        ).to_trace(),
         "periodic": periodic_burst_workload(
             config, n_slots,
             period=60,

@@ -24,7 +24,7 @@ from repro.analysis.competitive import measure_competitive_ratio
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
-from repro.traffic.workloads import value_port_workload
+from repro.traffic.columnar import columnar_value_port_workload
 
 #: Default skew grid: cheap-heavy ... uniform ... expensive-heavy.
 DEFAULT_SKEWS: Tuple[float, ...] = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -109,7 +109,7 @@ def run_skew_sweep(
     config = SwitchConfig.value_contiguous(k, buffer_size)
     points: List[SkewPoint] = []
     for skew in skews:
-        trace = value_port_workload(
+        trace = columnar_value_port_workload(
             config,
             n_slots,
             load=load,

@@ -596,6 +596,12 @@ class FarmCoordinator:
         wedged reader must not wedge teardown)."""
         # repro: allow[RC505] -- monotonic one-shot bool; GIL-atomic
         self._closing = True
+        # On Linux, close() alone does not wake a thread blocked in
+        # accept(); shutdown() does.
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # not connected / already shut down on some platforms
         try:
             self._server.close()
         except OSError:  # pragma: no cover - already closed
@@ -612,8 +618,8 @@ class FarmCoordinator:
             except OSError:
                 pass  # connection already gone; EOF says the same thing
             stream.close()
-        # Closing the server socket unblocks accept(); closing the
-        # streams unblocks every reader's recv(). Bounded joins so a
+        # Shutting the server socket down unblocks accept(); closing
+        # the streams unblocks every reader's recv(). Bounded joins so a
         # half-dead peer cannot hold close() hostage.
         self._accept_thread.join(timeout=5.0)
         for reader in readers:

@@ -15,9 +15,9 @@ reduced to two sha256 digests per pinned policy:
   :meth:`~repro.core.metrics.SwitchMetrics.snapshot`. Fast-mode runs
   carry no observer (an attached observer routes the vectorized engine
   onto its per-packet slow path), so this is the digest that pins the
-  *batched* hot path. Fast mode replays the panel twice — once as the
-  object trace, once as its columnar twin (the vectorized engine's
-  production input) — and both runs must digest identically.
+  *batched* hot path. Fast mode replays the panel twice — once as
+  packet objects, once as columns (the vectorized engine's production
+  input) — and both runs must digest identically.
 
 Sequence numbers are deliberately excluded from every token: they
 depend on process-global draw interleaving and (in the vectorized fast
@@ -41,6 +41,7 @@ from repro.core.errors import ConfigError
 from repro.core.metrics import SwitchMetrics
 from repro.obs.observer import PacketEvent, SlotObserver
 from repro.policies import make_policy
+from repro.traffic.columnar import ColumnarTrace
 
 #: Committed fixture location (repo-relative).
 DEFAULT_GOLDEN_PATH = Path("benchmarks") / "GOLDEN_streams.json"
@@ -130,10 +131,9 @@ def trace_digest(trace: object) -> str:
     Works on both trace shapes without materializing anything: a
     :class:`~repro.traffic.trace.Trace` feeds its packet objects, a
     :class:`~repro.traffic.columnar.ColumnarTrace` walks its columns
-    directly. A columnar twin generator is byte-identical to its object
-    counterpart exactly when the two digests agree — this is the
-    pinned half of the trace contract (the Hypothesis differential
-    suite is the relative half). Tokens carry slot index, port, work,
+    directly, and both shapes of one arrival sequence digest equally.
+    The committed per-panel digests pin every traffic recipe's packet
+    stream. Tokens carry slot index, port, work,
     ``repr`` of the value, arrival slot, and the scripted-OPT tag
     canonicalized to ``-1``/``0``/``1``; port churn events (when the
     trace carries any) are digested after the packet lines, so a
@@ -199,7 +199,7 @@ def metrics_digest(metrics: SwitchMetrics) -> str:
 
 
 def _run_hashed(
-    panel, policy_name: str, slots_scale: float, engine: str
+    panel, policy_name: str, columnar: ColumnarTrace, engine: str
 ) -> Tuple[str, str, str, str]:
     """One observed run plus two fast-mode runs of a panel policy.
 
@@ -207,12 +207,12 @@ def _run_hashed(
     columnar_fast_metrics_sha256)``. The observed run renders the
     decision stream (on the vectorized engine this takes its
     per-packet slow path); the unobserved runs exercise the engine's
-    fast mode on the object trace and on the columnar trace, whose
+    fast mode on the materialized packets and on the columns, whose
     final metrics must digest identically — those equalities are
     themselves part of the check.
     """
     config = panel.config()
-    trace = panel.trace(slots_scale)
+    trace = columnar.to_trace()
 
     hasher = DecisionStreamHasher()
     observed = PolicySystem(config, make_policy(policy_name), engine=engine)
@@ -221,10 +221,10 @@ def _run_hashed(
     fast = PolicySystem(config, make_policy(policy_name), engine=engine)
     fast_metrics = run_system(fast, trace)
 
-    columnar = PolicySystem(config, make_policy(policy_name), engine=engine)
-    columnar_metrics = run_system(
-        columnar, panel.columnar_trace(slots_scale)
+    from_columns = PolicySystem(
+        config, make_policy(policy_name), engine=engine
     )
+    columnar_metrics = run_system(from_columns, columnar)
 
     return (
         hasher.hexdigest(),
@@ -265,18 +265,11 @@ def compute_goldens(
                 f"unknown bench panel {name!r}; known: "
                 + ", ".join(PANELS)
             )
-        object_digest = trace_digest(panel.trace(slots_scale))
-        columnar_digest = trace_digest(panel.columnar_trace(slots_scale))
-        if columnar_digest != object_digest:
-            raise ConfigError(
-                f"{name}: columnar trace generator diverges from the "
-                f"object generator ({columnar_digest[:12]} != "
-                f"{object_digest[:12]})"
-            )
+        columnar = panel.columnar_trace(slots_scale)
         policies: Dict[str, Dict[str, str]] = {}
         for policy_name in panel.policies:
             stream, metrics, fast_metrics, columnar_metrics = _run_hashed(
-                panel, policy_name, slots_scale, engine
+                panel, policy_name, columnar, engine
             )
             if fast_metrics != metrics:
                 raise ConfigError(
@@ -287,7 +280,7 @@ def compute_goldens(
             if columnar_metrics != fast_metrics:
                 raise ConfigError(
                     f"{name}/{policy_name}: fast-mode metrics on the "
-                    "columnar trace diverge from the object trace on "
+                    "columnar trace diverge from its packet objects on "
                     f"engine {engine!r} ({columnar_metrics[:12]} != "
                     f"{fast_metrics[:12]})"
                 )
@@ -296,7 +289,7 @@ def compute_goldens(
                 "metrics_sha256": metrics,
             }
         panels[name] = {
-            "trace_sha256": object_digest,
+            "trace_sha256": trace_digest(columnar),
             "policies": policies,
         }
     return doc
@@ -315,8 +308,8 @@ def check_goldens(
     stream and metrics digests exactly — this is the absolute half of
     the oracle contract (the differential suites are the relative
     half). Recomputing raises :class:`ConfigError` when a fast-mode
-    run, on the object or the columnar trace, diverges from the
-    observed run.
+    run, on packet objects or on columns, diverges from the observed
+    run.
     """
     committed = load_goldens(path)
     scale = float(committed["slots_scale"])

@@ -19,31 +19,35 @@ from repro.traffic.dynamic import (
     oversubscription_spike_workload,
     port_flap_workload,
 )
+from repro.traffic.columnar import (
+    ColumnarTrace,
+    columnar_poisson_workload,
+    columnar_processing_workload,
+    columnar_saturating_workload,
+    columnar_value_port_workload,
+    columnar_value_uniform_workload,
+    processing_slots,
+    value_port_slots,
+    value_uniform_slots,
+)
 from repro.traffic.mmpp import MmppFleet, MmppParams, MmppSource
 from repro.traffic.patterns import (
     heavy_tailed_workload,
     mixed_trace,
     periodic_burst_workload,
-    poisson_workload,
     thin_trace,
-)
-from repro.traffic.streaming import (
-    stream_processing_workload,
-    stream_value_port_workload,
 )
 from repro.traffic.trace import Trace, burst
 from repro.traffic.workloads import (
     DEFAULT_SOURCES,
     processing_capacity,
-    processing_workload,
     value_capacity,
-    value_port_workload,
-    value_uniform_workload,
 )
 
 __all__ = [
     "ALL_SCENARIOS",
     "AdversarialScenario",
+    "ColumnarTrace",
     "DEFAULT_SOURCES",
     "DYNAMIC_SCENARIOS",
     "MmppFleet",
@@ -51,18 +55,20 @@ __all__ = [
     "MmppSource",
     "Trace",
     "burst",
+    "columnar_poisson_workload",
+    "columnar_processing_workload",
+    "columnar_saturating_workload",
+    "columnar_value_port_workload",
+    "columnar_value_uniform_workload",
     "heavy_tailed_workload",
     "lqd_churn_collapse",
     "lqd_oversubscription_squeeze",
     "mixed_trace",
     "oversubscription_spike_workload",
     "periodic_burst_workload",
-    "poisson_workload",
     "port_flap_workload",
     "processing_capacity",
-    "processing_workload",
-    "stream_processing_workload",
-    "stream_value_port_workload",
+    "processing_slots",
     "thin_trace",
     "thm10_mvd",
     "thm11_mrd",
@@ -73,6 +79,6 @@ __all__ = [
     "thm6_lwd",
     "thm9_lqd_value",
     "value_capacity",
-    "value_port_workload",
-    "value_uniform_workload",
+    "value_port_slots",
+    "value_uniform_slots",
 ]

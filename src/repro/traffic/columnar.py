@@ -17,19 +17,18 @@ pay: the batched numpy sampling inside the generators below, and the
 typed int64/float64 buffers of :meth:`as_columns` that the on-disk trace
 store serializes.
 
-**Byte-identity contract.** Every ``columnar_*_workload`` generator is a
-twin of an object generator (same module layout as
-:mod:`repro.traffic.workloads` / :mod:`repro.traffic.patterns` /
-``repro.bench.saturating_workload``) and performs *the identical
-sequence of RNG calls* — same ``default_rng(seed)``, same draw order,
-sizes, and dtypes — so the produced packet stream is equal in order and
-content to its twin's, packet for packet. The twins only differ in what
-they do with the sampled numbers: the object generators construct
-:class:`~repro.core.packet.Packet` instances (the dominant cost at
-paper scale), the columnar ones extend flat columns. The contract is
-pinned three ways: the Hypothesis differential suite
-(``tests/test_trace_columnar.py``), the golden per-panel trace digests
-(``repro golden``), and the sweep-level ``cmp`` identity checks in CI.
+**One generator per recipe.** Each traffic recipe — MMPP processing,
+MMPP value-uniform, MMPP value-port, Poisson and saturating — has
+exactly one function body that draws from the RNG. The MMPP recipes are
+per-slot column generators (:func:`processing_slots`,
+:func:`value_uniform_slots`, :func:`value_port_slots`) yielding one
+slot's ``(ports, works, values)`` arrays at a time; every
+``columnar_*_workload`` function collects such a stream into a
+:class:`ColumnarTrace` through one shared collector, and
+:func:`repro.analysis.streaming.stream_competitive` consumes the same
+stream directly for bounded-memory paper-scale runs. The packet streams
+are pinned by the golden per-panel trace digests (``repro golden``) and
+the sweep-level ``cmp`` identity checks in CI.
 
 For consumers that need objects (the reference engine, observers,
 scripted-OPT replays) :meth:`ColumnarTrace.to_trace` materializes the
@@ -39,7 +38,7 @@ many reference systems pays materialization once.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 try:  # pure-stdlib installs can still import the module
     import numpy as np
@@ -49,6 +48,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError, TraceError
 from repro.core.packet import Packet
+from repro.traffic.mmpp import MmppFleet
 from repro.traffic.trace import PortStateEvent, Trace
 from repro.traffic.workloads import (
     DEFAULT_SOURCES,
@@ -59,21 +59,16 @@ from repro.traffic.workloads import (
 
 __all__ = [
     "ColumnarTrace",
+    "SlotColumns",
+    "processing_slots",
+    "value_uniform_slots",
+    "value_port_slots",
     "columnar_processing_workload",
     "columnar_value_uniform_workload",
     "columnar_value_port_workload",
     "columnar_poisson_workload",
     "columnar_saturating_workload",
 ]
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ConfigError(
-            "the columnar MMPP workloads need numpy (their draws are "
-            "pinned to numpy.random.default_rng, identically to their "
-            "object twins); install numpy to use them"
-        )
 
 
 class ColumnarTrace:
@@ -402,11 +397,78 @@ class ColumnarTrace:
 
 
 # ----------------------------------------------------------------------
-# Columnar generator twins
+# Generators: one per traffic recipe
 # ----------------------------------------------------------------------
 
+#: One slot's arrivals as ``(ports, works, values)`` numpy arrays.
+SlotColumns = Tuple[Any, Any, Any]
 
-def columnar_processing_workload(
+
+def _collect(slots: Iterable[SlotColumns]) -> ColumnarTrace:
+    """Gather a per-slot column stream into one trace."""
+    offsets = [0]
+    chunks: List[SlotColumns] = []
+    total = 0
+    for columns in slots:
+        size = len(columns[0])
+        if size:
+            chunks.append(columns)
+            total += size
+        offsets.append(total)
+    if chunks:
+        ports, works, values = (np.concatenate(c) for c in zip(*chunks))
+    else:
+        ports = np.empty(0, dtype=np.int64)
+        works = np.empty(0, dtype=np.int64)
+        values = np.empty(0, dtype=np.float64)
+    # One float object per distinct value: recipes draw few distinct
+    # values, and a fresh float per packet would dominate the lists.
+    distinct, index = np.unique(values, return_inverse=True)
+    trace = ColumnarTrace(
+        offsets,
+        ports.tolist(),
+        works.tolist(),
+        list(map(distinct.tolist().__getitem__, index.tolist())),
+    )
+    # The sampled arrays *are* the array view — donate them so
+    # array-preferring consumers skip the list -> ndarray round trip.
+    trace._arrays = (ports, works, values)
+    return trace
+
+
+def _check_slots(n_slots: int) -> None:
+    """Validate a generator's horizon; the draws also need numpy."""
+    if n_slots < 1:
+        raise ConfigError(f"need >= 1 slot, got {n_slots}")
+    if np is None:
+        raise ConfigError(
+            "the traffic generators need numpy (their draws are "
+            "pinned to numpy.random.default_rng); install numpy to use "
+            "them"
+        )
+
+
+def _by_port(
+    fleet: MmppFleet,
+    ports_of_source: Any,
+    n_slots: int,
+    works: Any,
+    values: Any,
+) -> Iterator[SlotColumns]:
+    """Port-bound sources: each slot's burst is ports ascending, each
+    repeated by the packets its sources emitted; ``works``/``values``
+    are per-port lookup arrays."""
+    n_ports = len(works)
+    port_ix = np.arange(n_ports)
+    for _slot in range(n_slots):
+        per_port = np.bincount(
+            ports_of_source, weights=fleet.step(), minlength=n_ports
+        ).astype(np.int64)
+        ports = np.repeat(port_ix, per_port)
+        yield ports, works[ports], values[ports]
+
+
+def processing_slots(
     config: SwitchConfig,
     n_slots: int,
     *,
@@ -416,17 +478,14 @@ def columnar_processing_workload(
     mean_on_slots: float = 20.0,
     mean_off_slots: float = 1980.0,
     seed: int = 0,
-) -> ColumnarTrace:
-    """Columnar twin of :func:`repro.traffic.workloads.processing_workload`.
+) -> Iterator[SlotColumns]:
+    """MMPP traffic for the heterogeneous-processing model, slot by slot.
 
-    Identical RNG call sequence (port binding, fleet construction,
-    per-slot fleet steps); emission replaces the per-packet Python loop
-    with one ``np.repeat`` per slot — ports ascending with per-port
-    multiplicities, exactly the object generator's order.
+    Each source is bound to a destination port chosen uniformly at
+    construction time; while ON it emits Poisson packets for that port,
+    each requiring the port's configured work (value 1).
     """
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    _require_numpy()
+    _check_slots(n_slots)
     rng = np.random.default_rng(seed)
     ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
     mean_per_slot = (
@@ -437,40 +496,16 @@ def columnar_processing_workload(
     fleet = _fleet(
         n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots
     )
-
-    works_arr = np.asarray(config.works, dtype=np.int64)
-    port_ix = np.arange(config.n_ports)
-    offsets = [0]
-    chunks: List[Any] = []
-    total = 0
-    for _slot in range(n_slots):
-        counts = fleet.step()
-        per_port = np.bincount(
-            ports_of_source, weights=counts, minlength=config.n_ports
-        ).astype(np.int64)
-        slot_ports = np.repeat(port_ix, per_port)
-        if slot_ports.size:
-            chunks.append(slot_ports)
-            total += int(slot_ports.size)
-        offsets.append(total)
-    if chunks:
-        all_ports = np.concatenate(chunks)
-        works_col = works_arr[all_ports]
-        ports = all_ports.tolist()
-        works = works_col.tolist()
-    else:
-        all_ports = np.empty(0, dtype=np.int64)
-        works_col = np.empty(0, dtype=np.int64)
-        ports = []
-        works = []
-    trace = ColumnarTrace(offsets, ports, works, [1.0] * total)
-    # The sampled arrays *are* the array view — donate them so
-    # array-preferring consumers skip the list -> ndarray round trip.
-    trace._arrays = (all_ports, works_col, np.ones(total))
-    return trace
+    yield from _by_port(
+        fleet,
+        ports_of_source,
+        n_slots,
+        np.asarray(config.works, dtype=np.int64),
+        np.ones(config.n_ports),
+    )
 
 
-def columnar_value_uniform_workload(
+def value_uniform_slots(
     config: SwitchConfig,
     n_slots: int,
     max_value: int,
@@ -482,17 +517,25 @@ def columnar_value_uniform_workload(
     mean_off_slots: float = 380.0,
     seed: int = 0,
     port_bound_sources: bool = True,
-) -> ColumnarTrace:
-    """Columnar twin of
-    :func:`repro.traffic.workloads.value_uniform_workload`.
+) -> Iterator[SlotColumns]:
+    """Value-model MMPP traffic with uniform port and value, slot by slot.
 
-    The per-source value draws (``port_bound_sources``) are mandated by
-    RNG-stream identity, so the per-slot source loop remains; each
-    iteration extends the columns instead of building packets.
+    Matches Fig. 5 panels 4-6: "both output port and value chosen
+    uniformly at random, so the distribution of values in each queue is
+    also uniform". ``max_value`` is the paper's ``k``; every packet's
+    value is uniform on ``1..max_value`` independent of its port.
+
+    With ``port_bound_sources`` (default) each source is bound to a
+    uniformly chosen port, so a source's on-burst floods one port — the
+    interleaving-of-sources structure of Section V-A — and its values
+    are drawn source by source. With ``port_bound_sources=False`` each
+    *packet* picks a port independently, which spreads bursts across all
+    queues and (because no port can then starve) compresses the
+    differences between policies.
     """
+    _check_slots(n_slots)
     if max_value < 1:
         raise ConfigError(f"max_value must be >= 1, got {max_value}")
-    _require_numpy()
     rng = np.random.default_rng(seed)
     ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
     mean_per_slot = (
@@ -503,31 +546,32 @@ def columnar_value_uniform_workload(
     fleet = _fleet(
         n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots
     )
-
-    offsets = [0]
-    ports: List[int] = []
-    values: List[float] = []
+    empty = np.empty(0, dtype=np.int64)
     for _slot in range(n_slots):
         counts = fleet.step()
         if port_bound_sources:
-            for src in np.nonzero(counts)[0]:
-                port = int(ports_of_source[src])
-                count = int(counts[src])
-                drawn = rng.integers(1, max_value + 1, size=count)
-                ports.extend([port] * count)
-                values.extend(drawn.astype(np.float64).tolist())
+            sources = np.nonzero(counts)[0]
+            sizes = counts[sources]
+            ports = np.repeat(ports_of_source[sources], sizes)
+            drawn = [
+                rng.integers(1, max_value + 1, size=int(size))
+                for size in sizes
+            ]
+            values = np.concatenate(drawn) if drawn else empty
         else:
             total = int(counts.sum())
+            ports = values = empty
             if total:
-                drawn_ports = rng.integers(0, config.n_ports, size=total)
-                drawn = rng.integers(1, max_value + 1, size=total)
-                ports.extend(drawn_ports.tolist())
-                values.extend(drawn.astype(np.float64).tolist())
-        offsets.append(len(ports))
-    return ColumnarTrace(offsets, ports, [1] * len(ports), values)
+                ports = rng.integers(0, config.n_ports, size=total)
+                values = rng.integers(1, max_value + 1, size=total)
+        yield (
+            ports,
+            np.ones(ports.size, dtype=np.int64),
+            values.astype(np.float64),
+        )
 
 
-def columnar_value_port_workload(
+def value_port_slots(
     config: SwitchConfig,
     n_slots: int,
     *,
@@ -538,9 +582,17 @@ def columnar_value_port_workload(
     mean_off_slots: float = 1980.0,
     seed: int = 0,
     port_weights: Optional[Any] = None,
-) -> ColumnarTrace:
-    """Columnar twin of :func:`repro.traffic.workloads.value_port_workload`."""
-    _require_numpy()
+) -> Iterator[SlotColumns]:
+    """Value-model MMPP traffic where value is set by the port, slot by slot.
+
+    Matches Fig. 5 panels 7-9. Each source is bound to a port; a
+    packet's value is the port's configured value (e.g. value = port
+    label for :meth:`repro.core.SwitchConfig.value_contiguous`).
+    ``port_weights`` optionally skews how sources are assigned to ports,
+    for studying "distributions that prioritize certain values at
+    specific queues" (Section V-C).
+    """
+    _check_slots(n_slots)
     rng = np.random.default_rng(seed)
     if port_weights is None:
         ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
@@ -558,39 +610,34 @@ def columnar_value_port_workload(
     fleet = _fleet(
         n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots
     )
-
-    values_arr = np.asarray(config.values, dtype=np.float64)
-    port_ix = np.arange(config.n_ports)
-    offsets = [0]
-    chunks: List[Any] = []
-    total = 0
-    for _slot in range(n_slots):
-        counts = fleet.step()
-        per_port = np.bincount(
-            ports_of_source, weights=counts, minlength=config.n_ports
-        ).astype(np.int64)
-        slot_ports = np.repeat(port_ix, per_port)
-        if slot_ports.size:
-            chunks.append(slot_ports)
-            total += int(slot_ports.size)
-        offsets.append(total)
-    if chunks:
-        all_ports = np.concatenate(chunks)
-        values_col = values_arr[all_ports]
-        ports = all_ports.tolist()
-        values = values_col.tolist()
-    else:
-        all_ports = np.empty(0, dtype=np.int64)
-        values_col = np.empty(0, dtype=np.float64)
-        ports = []
-        values = []
-    trace = ColumnarTrace(offsets, ports, [1] * total, values)
-    trace._arrays = (
-        all_ports,
-        np.ones(total, dtype=np.int64),
-        values_col,
+    yield from _by_port(
+        fleet,
+        ports_of_source,
+        n_slots,
+        np.ones(config.n_ports, dtype=np.int64),
+        np.asarray(config.values, dtype=np.float64),
     )
-    return trace
+
+
+def columnar_processing_workload(
+    config: SwitchConfig, n_slots: int, **kwargs: Any
+) -> ColumnarTrace:
+    """:func:`processing_slots` collected into one trace."""
+    return _collect(processing_slots(config, n_slots, **kwargs))
+
+
+def columnar_value_uniform_workload(
+    config: SwitchConfig, n_slots: int, max_value: int, **kwargs: Any
+) -> ColumnarTrace:
+    """:func:`value_uniform_slots` collected into one trace."""
+    return _collect(value_uniform_slots(config, n_slots, max_value, **kwargs))
+
+
+def columnar_value_port_workload(
+    config: SwitchConfig, n_slots: int, **kwargs: Any
+) -> ColumnarTrace:
+    """:func:`value_port_slots` collected into one trace."""
+    return _collect(value_port_slots(config, n_slots, **kwargs))
 
 
 def columnar_poisson_workload(
@@ -600,76 +647,55 @@ def columnar_poisson_workload(
     load: float = 2.0,
     seed: int = 0,
 ) -> ColumnarTrace:
-    """Columnar twin of :func:`repro.traffic.patterns.poisson_workload`."""
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    _require_numpy()
+    """Memoryless arrivals: each slot each port draws an independent
+    Poisson count; total mean rate = ``load x`` processing capacity.
+
+    The smoothest traffic at a given rate — a *negative control*: under
+    smooth overload all work-conserving policies tie (see the
+    burstiness ablation).
+    """
+    _check_slots(n_slots)
     rng = np.random.default_rng(seed)
-    per_port_rate = load * processing_capacity(config) / config.n_ports
-    works_arr = np.asarray(config.works, dtype=np.int64)
+    rate = load * processing_capacity(config) / config.n_ports
+    works = np.asarray(config.works, dtype=np.int64)
     port_ix = np.arange(config.n_ports)
-    offsets = [0]
-    chunks: List[Any] = []
-    total = 0
-    for _slot in range(n_slots):
-        counts = rng.poisson(per_port_rate, size=config.n_ports)
-        slot_ports = np.repeat(port_ix, counts)
-        if slot_ports.size:
-            chunks.append(slot_ports)
-            total += int(slot_ports.size)
-        offsets.append(total)
-    if chunks:
-        all_ports = np.concatenate(chunks)
-        works_col = works_arr[all_ports]
-        ports = all_ports.tolist()
-        works = works_col.tolist()
-    else:
-        all_ports = np.empty(0, dtype=np.int64)
-        works_col = np.empty(0, dtype=np.int64)
-        ports = []
-        works = []
-    trace = ColumnarTrace(offsets, ports, works, [1.0] * total)
-    trace._arrays = (all_ports, works_col, np.ones(total))
-    return trace
+
+    def slots() -> Iterator[SlotColumns]:
+        for _slot in range(n_slots):
+            counts = rng.poisson(rate, size=config.n_ports)
+            ports = np.repeat(port_ix, counts)
+            yield ports, works[ports], np.ones(ports.size)
+
+    return _collect(slots())
 
 
 def columnar_saturating_workload(
     config: SwitchConfig, n_slots: int, *, seed: int = 0
 ) -> ColumnarTrace:
-    """Columnar twin of :func:`repro.bench.saturating_workload`."""
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    _require_numpy()
+    """Adversarial congestion: ~1.5n uniformly-addressed packets per slot.
+
+    Offered load is far above any service rate, so after a couple of
+    slots the buffer is permanently full and every single arrival goes
+    through the policy's congested-path victim search. Value-model
+    packets draw small integer values so exact value ties (the hard
+    tie-breaking cases) occur constantly.
+    """
+    _check_slots(n_slots)
     rng = np.random.default_rng(seed)
     n = config.n_ports
     per_slot = max(2, (3 * n) // 2)
     by_value = config.discipline is QueueDiscipline.PRIORITY
-    works_arr = np.asarray(config.works, dtype=np.int64)
-    values_arr = np.asarray(config.values, dtype=np.float64)
+    works = np.asarray(config.works, dtype=np.int64)
+    values = np.asarray(config.values, dtype=np.float64)
+    unit = np.ones(per_slot, dtype=np.int64)
 
-    offsets = [0]
-    port_chunks: List[Any] = []
-    value_chunks: List[Any] = []
-    total = 0
-    for _slot in range(n_slots):
-        slot_ports = rng.integers(0, n, size=per_slot)
-        port_chunks.append(slot_ports)
-        if by_value:
-            value_chunks.append(rng.integers(1, 17, size=per_slot))
-        total += per_slot
-        offsets.append(total)
-    all_ports = np.concatenate(port_chunks)
-    ports = all_ports.tolist()
-    if by_value:
-        works = [1] * total
-        works_col = np.ones(total, dtype=np.int64)
-        values_col = np.concatenate(value_chunks).astype(np.float64)
-        values = values_col.tolist()
-    else:
-        works_col = works_arr[all_ports]
-        values_col = values_arr[all_ports]
-        works = works_col.tolist()
-        values = values_col.tolist()
-    trace = ColumnarTrace(offsets, ports, works, values)
-    trace._arrays = (all_ports, works_col, values_col)
-    return trace
+    def slots() -> Iterator[SlotColumns]:
+        for _slot in range(n_slots):
+            ports = rng.integers(0, n, size=per_slot)
+            if by_value:
+                drawn = rng.integers(1, 17, size=per_slot)
+                yield ports, unit, drawn.astype(np.float64)
+            else:
+                yield ports, works[ports], values[ports]
+
+    return _collect(slots())

@@ -3,14 +3,13 @@
 Fig. 5 uses one traffic family (interleaved MMPP on-off sources); a
 reproduction should show its conclusions are not artifacts of that
 choice. This module provides structurally different generators with the
-same interface contract as :mod:`repro.traffic.workloads` (a
-:class:`~repro.traffic.trace.Trace` of per-slot bursts, per-port work
+same contract as the MMPP recipes (per-slot bursts, per-port work
 constraints respected), plus trace-shaping utilities:
 
-* :func:`poisson_workload` — memoryless per-slot Poisson arrivals, the
-  smoothest possible traffic at a given rate (a *negative control*: under
-  smooth overload all work-conserving policies tie, see the burstiness
-  ablation);
+* :func:`repro.traffic.columnar.columnar_poisson_workload` —
+  memoryless per-slot Poisson arrivals, the smoothest possible traffic
+  at a given rate (a *negative control*: under smooth overload all
+  work-conserving policies tie, see the burstiness ablation);
 * :func:`periodic_burst_workload` — deterministic bursts every ``period``
   slots, the most regular bursty pattern (isolates burstiness from
   randomness);
@@ -43,39 +42,6 @@ def _require_numpy() -> None:
             "the synthetic traffic patterns needs numpy (its draws are pinned to "
             "numpy.random.default_rng); install numpy to use it"
         )
-
-def _per_port_packets(
-    config: SwitchConfig, port_counts: np.ndarray, slot: int
-) -> list:
-    works = config.works
-    burst = []
-    for port in range(config.n_ports):
-        for _ in range(int(port_counts[port])):
-            burst.append(
-                Packet(port=port, work=works[port], arrival_slot=slot)
-            )
-    return burst
-
-
-def poisson_workload(
-    config: SwitchConfig,
-    n_slots: int,
-    *,
-    load: float = 2.0,
-    seed: int = 0,
-) -> Trace:
-    """Memoryless arrivals: each slot each port draws an independent
-    Poisson count; total mean rate = ``load x`` service capacity."""
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    per_port_rate = load * processing_capacity(config) / config.n_ports
-    trace = Trace()
-    for slot in range(n_slots):
-        counts = rng.poisson(per_port_rate, size=config.n_ports)
-        trace.append_slot(_per_port_packets(config, counts, slot))
-    return trace
 
 
 def periodic_burst_workload(

@@ -1,15 +1,13 @@
-"""Synthetic workloads reproducing the paper's simulation traffic.
+"""Shared calibration of the paper's simulation traffic.
 
 Section V-A: traffic is the interleaving of 500 independent MMPP on-off
-sources. Three regimes cover the three rows of Fig. 5:
-
-* :func:`processing_workload` — heterogeneous-processing model: each source
-  is bound to one output port; packets inherit the port's required work.
-* :func:`value_uniform_workload` — value model with output port and value
-  both uniform at random (Fig. 5 panels 4-6).
-* :func:`value_port_workload` — value model where a packet's value is
-  uniquely determined by its output port (Fig. 5 panels 7-9; all of the
-  paper's value-model lower bounds live in this special case).
+sources. The recipes themselves — one generator each for the three rows
+of Fig. 5 — live in :mod:`repro.traffic.columnar`
+(:func:`~repro.traffic.columnar.processing_slots`,
+:func:`~repro.traffic.columnar.value_uniform_slots`,
+:func:`~repro.traffic.columnar.value_port_slots` and their collected
+``columnar_*_workload`` forms); this module holds what they share: the
+source count, the fleet builder and the capacity helpers.
 
 Load calibration: the paper gives intensities only implicitly ("in case of
 congestion..."), so generators accept a dimensionless ``load`` — the ratio
@@ -30,30 +28,17 @@ all curves towards 1.
 
 from __future__ import annotations
 
-from typing import Optional
-
-try:  # pure-stdlib installs can still import the module
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING
 
 from repro.core.config import SwitchConfig
-from repro.core.errors import ConfigError
-from repro.core.packet import Packet
 from repro.traffic.mmpp import MmppFleet, MmppParams
-from repro.traffic.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: The paper's source count (Section V-A).
 DEFAULT_SOURCES = 500
 
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ConfigError(
-            "the paper-scale MMPP workloads needs numpy (its draws are pinned to "
-            "numpy.random.default_rng); install numpy to use it"
-        )
 
 def _fleet(
     n_sources: int,
@@ -88,177 +73,3 @@ def value_capacity(config: SwitchConfig) -> float:
     """Maximal sustained service rate of the value-model switch: each of
     the ``n`` ports transmits up to ``C`` unit-work packets per slot."""
     return float(config.n_ports * config.speedup)
-
-
-def processing_workload(
-    config: SwitchConfig,
-    n_slots: int,
-    *,
-    load: float = 2.0,
-    absolute_rate: Optional[float] = None,
-    n_sources: int = DEFAULT_SOURCES,
-    mean_on_slots: float = 20.0,
-    mean_off_slots: float = 1980.0,
-    seed: int = 0,
-) -> Trace:
-    """MMPP workload for the heterogeneous-processing model.
-
-    Each source is bound to a destination port chosen uniformly at
-    construction time; while ON it emits Poisson packets for that port,
-    each requiring the port's configured work.
-    """
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
-    mean_per_slot = (
-        absolute_rate
-        if absolute_rate is not None
-        else load * processing_capacity(config)
-    )
-    fleet = _fleet(n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots)
-
-    works = config.works
-    trace = Trace()
-    for slot in range(n_slots):
-        counts = fleet.step()
-        per_port = np.bincount(
-            ports_of_source, weights=counts, minlength=config.n_ports
-        ).astype(np.int64)
-        burst = []
-        for port in range(config.n_ports):
-            for _ in range(int(per_port[port])):
-                burst.append(
-                    Packet(port=port, work=works[port], arrival_slot=slot)
-                )
-        trace.append_slot(burst)
-    return trace
-
-
-def value_uniform_workload(
-    config: SwitchConfig,
-    n_slots: int,
-    max_value: int,
-    *,
-    load: float = 2.0,
-    absolute_rate: Optional[float] = None,
-    n_sources: int = DEFAULT_SOURCES,
-    mean_on_slots: float = 20.0,
-    mean_off_slots: float = 380.0,
-    seed: int = 0,
-    port_bound_sources: bool = True,
-) -> Trace:
-    """Value-model workload with uniform port and uniform integer value.
-
-    Matches Fig. 5 panels 4-6: "both output port and value chosen uniformly
-    at random, so the distribution of values in each queue is also
-    uniform". ``max_value`` is the paper's ``k``. Every packet's value is
-    uniform on ``1..max_value`` independent of its port.
-
-    With ``port_bound_sources`` (default) each MMPP source is bound to a
-    uniformly chosen destination port, so a source's on-burst floods one
-    port — the interleaving-of-sources structure of Section V-A. With
-    ``port_bound_sources=False`` each *packet* picks a port independently,
-    which spreads bursts across all queues and (because no port can then
-    starve) compresses the differences between policies.
-    """
-    if max_value < 1:
-        raise ConfigError(f"max_value must be >= 1, got {max_value}")
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
-    mean_per_slot = (
-        absolute_rate
-        if absolute_rate is not None
-        else load * value_capacity(config)
-    )
-    fleet = _fleet(n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots)
-
-    trace = Trace()
-    for slot in range(n_slots):
-        counts = fleet.step()
-        burst = []
-        if port_bound_sources:
-            for src in np.nonzero(counts)[0]:
-                port = int(ports_of_source[src])
-                values = rng.integers(
-                    1, max_value + 1, size=int(counts[src])
-                )
-                burst.extend(
-                    Packet(port=port, work=1, value=float(v),
-                           arrival_slot=slot)
-                    for v in values
-                )
-        else:
-            total = int(counts.sum())
-            if total:
-                ports = rng.integers(0, config.n_ports, size=total)
-                values = rng.integers(1, max_value + 1, size=total)
-                burst = [
-                    Packet(port=int(p), work=1, value=float(v),
-                           arrival_slot=slot)
-                    for p, v in zip(ports, values)
-                ]
-        trace.append_slot(burst)
-    return trace
-
-
-def value_port_workload(
-    config: SwitchConfig,
-    n_slots: int,
-    *,
-    load: float = 2.0,
-    absolute_rate: Optional[float] = None,
-    n_sources: int = DEFAULT_SOURCES,
-    mean_on_slots: float = 20.0,
-    mean_off_slots: float = 1980.0,
-    seed: int = 0,
-    port_weights: Optional[np.ndarray] = None,
-) -> Trace:
-    """Value-model workload where value is determined by the output port.
-
-    Matches Fig. 5 panels 7-9. Each source is bound to a port; a packet's
-    value is the port's configured value (e.g. value = port label for
-    :meth:`repro.core.SwitchConfig.value_contiguous`). ``port_weights``
-    optionally skews how sources are assigned to ports, for studying
-    "distributions that prioritize certain values at specific queues"
-    (Section V-C).
-    """
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    if port_weights is None:
-        ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
-    else:
-        weights = np.asarray(port_weights, dtype=float)
-        if weights.shape != (config.n_ports,) or weights.sum() <= 0:
-            raise ConfigError("port_weights must be positive, one per port")
-        probs = weights / weights.sum()
-        ports_of_source = rng.choice(config.n_ports, size=n_sources, p=probs)
-    mean_per_slot = (
-        absolute_rate
-        if absolute_rate is not None
-        else load * value_capacity(config)
-    )
-    fleet = _fleet(n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots)
-
-    values = config.values
-    trace = Trace()
-    for slot in range(n_slots):
-        counts = fleet.step()
-        per_port = np.bincount(
-            ports_of_source, weights=counts, minlength=config.n_ports
-        ).astype(np.int64)
-        burst = []
-        for port in range(config.n_ports):
-            for _ in range(int(per_port[port])):
-                burst.append(
-                    Packet(
-                        port=port,
-                        work=1,
-                        value=values[port],
-                        arrival_slot=slot,
-                    )
-                )
-        trace.append_slot(burst)
-    return trace

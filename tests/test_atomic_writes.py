@@ -137,10 +137,12 @@ class TestTraceWriterAtomicity:
         from repro.core.config import SwitchConfig
         from repro.obs.trace_io import record_trace
         from repro.policies import make_policy
-        from repro.traffic.workloads import processing_workload
+        from repro.traffic.columnar import columnar_processing_workload
 
         config = SwitchConfig.contiguous(4, 16)
-        trace = processing_workload(config, 40, load=2.0, seed=0)
+        trace = columnar_processing_workload(
+            config, 40, load=2.0, seed=0
+        ).to_trace()
         return record_trace(make_policy("LWD"), trace, config, path)
 
     def test_successful_recording_publishes_complete_trace(self, tmp_path):
@@ -155,7 +157,7 @@ class TestTraceWriterAtomicity:
         from repro.core.config import SwitchConfig
         from repro.obs.trace_io import JsonlTraceWriter
         from repro.policies import make_policy
-        from repro.traffic.workloads import processing_workload
+        from repro.traffic.columnar import columnar_processing_workload
 
         target = tmp_path / "trace.jsonl"
 
@@ -164,7 +166,9 @@ class TestTraceWriterAtomicity:
                 raise RuntimeError("mid-run crash")
 
         config = SwitchConfig.contiguous(4, 16)
-        trace = processing_workload(config, 40, load=2.0, seed=0)
+        trace = columnar_processing_workload(
+            config, 40, load=2.0, seed=0
+        ).to_trace()
         from repro.analysis.competitive import PolicySystem, run_system
 
         writer = Exploding(target)

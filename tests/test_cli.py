@@ -111,3 +111,30 @@ class TestTrace:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestUnwritableOrMissingPaths:
+    def _assert_one_error_line(self, capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_bench_missing_baseline_is_one_error_line(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        assert main(
+            ["bench", "--baseline", str(missing), "--panels",
+             "uniform-proc-small", "--out-dir", str(tmp_path)]
+        ) == 2
+        self._assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []  # failed before measuring
+
+    def test_report_unwritable_out_is_one_error_line(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        out = blocker / "report.md"
+        assert main(
+            ["report", "--out", str(out), "--slots", "20", "--panels"]
+        ) == 2
+        self._assert_one_error_line(capsys)
+        assert not out.exists()

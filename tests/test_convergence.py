@@ -9,16 +9,16 @@ from repro.analysis.convergence import (
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
-from repro.traffic.workloads import processing_workload
+from repro.traffic.columnar import columnar_processing_workload
 
 
 @pytest.fixture(scope="module")
 def setup():
     config = SwitchConfig.contiguous(6, 48)
-    trace = processing_workload(
+    trace = columnar_processing_workload(
         config, 1500, load=3.0, seed=2,
         mean_on_slots=20, mean_off_slots=380,
-    )
+    ).to_trace()
     return config, trace
 
 

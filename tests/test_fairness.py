@@ -78,10 +78,12 @@ class TestEndToEndFairness:
         from repro.analysis.competitive import PolicySystem, run_system
         from repro.policies import make_policy
         from repro.singlequeue import SingleQueueSystem
-        from repro.traffic.workloads import processing_workload
+        from repro.traffic.columnar import columnar_processing_workload
 
         config = SwitchConfig.contiguous(6, 48)
-        trace = processing_workload(config, 1200, load=3.0, seed=5)
+        trace = columnar_processing_workload(
+            config, 1200, load=3.0, seed=5
+        ).to_trace()
 
         lwd = PolicySystem(config, make_policy("LWD"))
         run_system(lwd, trace)

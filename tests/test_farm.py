@@ -10,7 +10,9 @@ in test_farm_cli.py.
 from __future__ import annotations
 
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -206,6 +208,45 @@ class TestLedger:
         assert issubclass(FarmError, ReproError)
 
 
+def _wait_until_in_accept(thread: threading.Thread) -> None:
+    """Block until ``thread`` sleeps inside ``socket.accept``.
+
+    The innermost Python frame says the thread reached ``accept``; on
+    Linux, the task state in ``/proc`` says it is asleep in the system
+    call rather than about to enter it.
+    """
+    stat = f"/proc/self/task/{thread.native_id}/stat"
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        frame = sys._current_frames().get(thread.ident)
+        if frame is not None and frame.f_code.co_name == "accept":
+            try:
+                with open(stat) as handle:
+                    state = handle.read().rsplit(")", 1)[1].split()[0]
+            except OSError:
+                return  # no procfs: the frame is the best evidence
+            if state == "S":
+                return
+        time.sleep(0.001)
+    raise AssertionError("accept thread never blocked in accept()")
+
+
+class TestCoordinatorTeardown:
+    def test_close_stops_the_accept_thread(self):
+        from repro.farm import FarmCoordinator, FarmOptions
+
+        coordinator = FarmCoordinator(
+            FarmJob(kind="fig5", spec={}),
+            identity=None,
+            options=FarmOptions(workers=0),
+            stats=FarmStats(),
+        )
+        accept_thread = coordinator._accept_thread
+        _wait_until_in_accept(accept_thread)
+        coordinator.close()
+        assert not accept_thread.is_alive()
+
+
 class TestFarmJobs:
     SPEC = {
         "panel": 4,
@@ -213,7 +254,6 @@ class TestFarmJobs:
         "load": 0.9,
         "flush_every": None,
         "engine": None,
-        "trace_backend": None,
         "cache_dir": None,
     }
 

@@ -492,6 +492,43 @@ def _dynamic_events(n, toggles):
     return events_by_slot
 
 
+#: Engines a single-engine regression replays on.
+ENGINE_FACTORIES = {
+    "naive": lambda config: SharedMemorySwitch(config, fast_path=False),
+    "fast": lambda config: SharedMemorySwitch(config, fast_path=True),
+    "vectorized": VectorizedSwitch,
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_FACTORIES))
+def test_lqd_port_up_while_shared_pool_over_committed(engine):
+    """Port 0 (2 reserved slots) goes down, port 1 fills the shared pool
+    plus port 0's reclaimed reservation, and port 0 comes back up while
+    port 1's overflow still holds that reservation. Port 0's arrivals
+    may only use a reserved slot that is physically free: the second
+    one pushes out port 1's tail, the third (port 0 now the longest
+    queue) is dropped. Found by the dynamic Hypothesis differential;
+    every engine used to raise PolicyError on the third arrival."""
+    config = _dynamic_config(2, 4, "uneven")
+    bursts = [[], [], [], [], [1, 1, 1, 1], [0, 0, 0]]
+    toggles = [[], [], [], [], [0], [0]]
+    switch = ENGINE_FACTORIES[engine](config)
+    policy = make_policy("LQD")
+    for slot, events in enumerate(_dynamic_events(2, toggles)):
+        for port, up in events:
+            switch.set_port_state(port, up)
+        switch.run_slot(
+            [Packet(port=p, work=1, arrival_slot=slot) for p in bursts[slot]],
+            policy,
+        )
+        assert switch.occupancy <= config.buffer_size
+    switch.check_invariants()
+    metrics = switch.metrics
+    assert (metrics.arrived, metrics.accepted) == (7, 6)
+    assert (metrics.dropped, metrics.pushed_out) == (1, 1)
+    assert list(metrics.dropped_by_port) == [1, 1]
+
+
 DYNAMIC_FACTORIES = [
     ("LQD", lambda: make_policy("LQD")),
     ("Harmonic", Harmonic),

@@ -23,7 +23,7 @@ import pytest
 from repro.analysis.sweep import run_sweep
 from repro.core.config import SwitchConfig
 from repro.experiments.fig5 import run_panel
-from repro.traffic.workloads import processing_workload
+from repro.traffic.columnar import columnar_processing_workload
 
 #: Tolerance for frozen ratios. The runs are bit-deterministic on one
 #: platform; the relative slack only absorbs cross-platform libm noise
@@ -124,10 +124,10 @@ class TestSeedDerivation:
         )
 
     def _make_workload(self, config, seed):
-        return processing_workload(
+        return columnar_processing_workload(
             config, 60, load=3.0, seed=seed,
             mean_on_slots=5, mean_off_slots=45, n_sources=20,
-        )
+        ).to_trace()
 
     def test_trace_built_once_per_cell_with_verbatim_seed(self):
         calls = []

@@ -36,13 +36,13 @@ from repro.analysis.competitive import (
 )
 from repro.core.config import SwitchConfig
 from repro.policies import make_policy
+from repro.traffic.columnar import columnar_poisson_workload
 from repro.traffic.dynamic import (
     lqd_churn_collapse,
     lqd_oversubscription_squeeze,
     oversubscription_spike_workload,
     port_flap_workload,
 )
-from repro.traffic.patterns import poisson_workload
 
 
 def _harmonic_bound(n_ports: int) -> float:
@@ -73,7 +73,9 @@ def _measured(policy_name, trace, config, **kwargs):
 )
 def test_harmonic_within_guarantee_random(n, b_mult, load, seed):
     config = SwitchConfig.uniform(n, n * b_mult)
-    trace = poisson_workload(config, 300, load=load, seed=seed)
+    trace = columnar_poisson_workload(
+        config, 300, load=load, seed=seed
+    ).to_trace()
     result = _measured("Harmonic", trace, config, opt="surrogate")
     assert result.alg_objective > 0
     assert result.ratio <= _harmonic_bound(n)

@@ -12,12 +12,12 @@ import pytest
 from repro.analysis.competitive import measure_competitive_ratio
 from repro.core.config import SwitchConfig
 from repro.policies import available_policies, make_policy
-from repro.traffic.trace import Trace
-from repro.traffic.workloads import (
-    processing_workload,
-    value_port_workload,
-    value_uniform_workload,
+from repro.traffic.columnar import (
+    columnar_processing_workload,
+    columnar_value_port_workload,
+    columnar_value_uniform_workload,
 )
+from repro.traffic.trace import Trace
 
 
 def paper_policies(model):
@@ -32,20 +32,20 @@ def paper_policies(model):
 @pytest.fixture(scope="module")
 def proc_setup():
     config = SwitchConfig.contiguous(8, 64)
-    trace = processing_workload(
+    trace = columnar_processing_workload(
         config, 1200, load=3.0, seed=7,
         mean_on_slots=20, mean_off_slots=1980,
-    )
+    ).to_trace()
     return config, trace
 
 
 @pytest.fixture(scope="module")
 def value_setup():
     config = SwitchConfig.value_contiguous(8, 64)
-    trace = value_port_workload(
+    trace = columnar_value_port_workload(
         config, 1200, load=3.0, seed=7,
         mean_on_slots=20, mean_off_slots=1980,
-    )
+    ).to_trace()
     return config, trace
 
 
@@ -124,9 +124,9 @@ class TestValueModelEndToEnd:
             8, 64, work=1,
             discipline=SwitchConfig.value_contiguous(2, 4).discipline,
         )
-        trace = value_uniform_workload(
+        trace = columnar_value_uniform_workload(
             config, 1200, max_value=8, load=3.0, seed=3,
-        )
+        ).to_trace()
         mrd = measure_competitive_ratio(
             make_policy("MRD"), trace, config, by_value=True,
             flush_every=400,
@@ -161,10 +161,10 @@ class TestSpeedupBehaviour:
         """Fig. 5 panel 3: with the offered load held fixed, higher
         per-queue speedup closes the gap to the surrogate."""
         base = SwitchConfig.contiguous(8, 64, speedup=1)
-        trace = processing_workload(
+        trace = columnar_processing_workload(
             base, 1500, load=3.0, seed=11,
             mean_on_slots=20, mean_off_slots=1980,
-        )
+        ).to_trace()
         ratios = []
         for speedup in (1, 4):
             config = SwitchConfig.contiguous(8, 64, speedup=speedup)
@@ -178,10 +178,10 @@ class TestSpeedupBehaviour:
 
     def test_large_buffer_reduces_congestion(self):
         base = SwitchConfig.contiguous(8, 32)
-        trace = processing_workload(
+        trace = columnar_processing_workload(
             base, 1500, load=3.0, seed=13,
             mean_on_slots=20, mean_off_slots=1980,
-        )
+        ).to_trace()
         ratios = []
         for buffer_size in (32, 512):
             config = SwitchConfig.contiguous(8, buffer_size)

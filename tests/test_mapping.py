@@ -8,8 +8,8 @@ from repro.core.errors import ConfigError
 from repro.opt.scripted import ScriptedPolicy
 from repro.policies import make_policy
 from repro.traffic.adversarial import thm1_nhst, thm4_lqd, thm5_bpd, thm6_lwd
+from repro.traffic.columnar import columnar_processing_workload
 from repro.traffic.trace import Trace, burst
-from repro.traffic.workloads import processing_workload
 
 
 class TestValidation:
@@ -59,10 +59,10 @@ class TestAgainstArbitraryReferences:
     @pytest.mark.parametrize("ref_name", ["NEST", "NHST", "NHDT"])
     def test_accounting_certified(self, seed, ref_name):
         config = SwitchConfig.contiguous(5, 20)
-        trace = processing_workload(
+        trace = columnar_processing_workload(
             config, 150, load=4.0, seed=seed,
             mean_on_slots=8, mean_off_slots=72, n_sources=25,
-        )
+        ).to_trace()
         report = certify_lwd(trace, config, make_policy(ref_name))
         assert report.certified, [
             str(v) for v in report.violations if v.severity == "accounting"
@@ -75,10 +75,10 @@ class TestAgainstArbitraryReferences:
         config = SwitchConfig.contiguous(5, 20)
         warned = False
         for seed in range(12):
-            trace = processing_workload(
+            trace = columnar_processing_workload(
                 config, 150, load=4.0, seed=seed,
                 mean_on_slots=8, mean_off_slots=72, n_sources=25,
-            )
+            ).to_trace()
             for ref_name in ("NEST", "NHST", "NHDT"):
                 report = certify_lwd(trace, config, make_policy(ref_name))
                 if not report.lemma_clean:

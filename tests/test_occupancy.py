@@ -6,14 +6,16 @@ from repro.analysis.occupancy import compare_sharing, occupancy_profile
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
+from repro.traffic.columnar import columnar_processing_workload
 from repro.traffic.trace import Trace, burst
-from repro.traffic.workloads import processing_workload
 
 
 @pytest.fixture(scope="module")
 def setup():
     config = SwitchConfig.contiguous(6, 48)
-    trace = processing_workload(config, 1200, load=3.0, seed=8)
+    trace = columnar_processing_workload(
+        config, 1200, load=3.0, seed=8
+    ).to_trace()
     return config, trace
 
 

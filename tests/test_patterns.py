@@ -5,11 +5,11 @@ import pytest
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError, TraceError
 from repro.core.packet import Packet
+from repro.traffic.columnar import columnar_poisson_workload
 from repro.traffic.patterns import (
     heavy_tailed_workload,
     mixed_trace,
     periodic_burst_workload,
-    poisson_workload,
     thin_trace,
 )
 from repro.traffic.trace import Trace
@@ -25,30 +25,31 @@ def config():
 
 class TestPoisson:
     def test_respects_port_work(self, config):
-        trace = poisson_workload(config, 200, load=2.0, seed=0)
+        trace = columnar_poisson_workload(config, 200, load=2.0, seed=0)
         trace.validate_for(config)
 
     def test_mean_rate(self, config):
-        trace = poisson_workload(config, 10_000, load=2.0, seed=1)
+        trace = columnar_poisson_workload(config, 10_000, load=2.0, seed=1)
         expected = 2.0 * processing_capacity(config)
         assert trace.total_packets / 10_000 == pytest.approx(
             expected, rel=0.1
         )
 
     def test_smooth_no_giant_bursts(self, config):
-        trace = poisson_workload(config, 2000, load=2.0, seed=2)
-        biggest = max(len(burst) for burst in trace)
+        trace = columnar_poisson_workload(config, 2000, load=2.0, seed=2)
+        offsets = trace.offsets
+        biggest = max(hi - lo for lo, hi in zip(offsets, offsets[1:]))
         mean = trace.total_packets / trace.n_slots
         assert biggest < mean * 6
 
     def test_deterministic(self, config):
-        a = poisson_workload(config, 100, seed=9)
-        b = poisson_workload(config, 100, seed=9)
-        assert [len(s) for s in a.slots] == [len(s) for s in b.slots]
+        a = columnar_poisson_workload(config, 100, seed=9)
+        b = columnar_poisson_workload(config, 100, seed=9)
+        assert a == b
 
     def test_validation(self, config):
         with pytest.raises(ConfigError):
-            poisson_workload(config, 0)
+            columnar_poisson_workload(config, 0)
 
 
 class TestPeriodicBursts:

@@ -170,13 +170,13 @@ class TestRandomPushOut:
 
     def test_worse_than_lwd_on_bursty_traffic(self):
         from repro.analysis.competitive import measure_competitive_ratio
-        from repro.traffic.workloads import processing_workload
+        from repro.traffic.columnar import columnar_processing_workload
 
         config = SwitchConfig.contiguous(8, 64)
-        trace = processing_workload(
+        trace = columnar_processing_workload(
             config, 1000, load=3.0, seed=3,
             mean_on_slots=20, mean_off_slots=1980,
-        )
+        ).to_trace()
         lwd = measure_competitive_ratio(
             make_policy("LWD"), trace, config, by_value=False,
             flush_every=400,

@@ -1,21 +1,23 @@
-"""Tests for streaming workloads and the lock-step streaming runner."""
+"""Tests for the per-slot MMPP generators and the lock-step streaming
+runner."""
 
 import pytest
 
 from repro.analysis.competitive import measure_competitive_ratio
 from repro.analysis.streaming import stream_competitive
-from repro.core.config import SwitchConfig
+from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
-from repro.traffic.streaming import (
-    stream_processing_workload,
-    stream_value_port_workload,
+from repro.traffic.columnar import (
+    columnar_processing_workload,
+    columnar_value_port_workload,
+    columnar_value_uniform_workload,
+    processing_slots,
+    value_port_slots,
+    value_uniform_slots,
 )
-from repro.traffic.trace import Trace
-from repro.traffic.workloads import (
-    processing_workload,
-    value_port_workload,
-)
+
+pytest.importorskip("numpy", exc_type=ImportError)
 
 
 @pytest.fixture
@@ -28,36 +30,55 @@ def value_config():
     return SwitchConfig.value_contiguous(5, 40)
 
 
+def _collected(slot_stream):
+    """The per-slot stream as (port, work, value) rows per slot."""
+    return [
+        list(zip(ports.tolist(), works.tolist(), values.tolist()))
+        for ports, works, values in slot_stream
+    ]
+
+
+def _rows(trace):
+    return [
+        list(zip(trace.ports[lo:hi], trace.works[lo:hi], trace.values[lo:hi]))
+        for lo, hi in zip(trace.offsets, trace.offsets[1:])
+    ]
+
+
 class TestStreamEquivalence:
-    """A streaming generator must reproduce its materializing twin's
-    arrivals exactly (same seed, same parameters)."""
+    """A recipe's per-slot stream must carry exactly the arrivals of its
+    collected trace (same seed, same parameters): the streaming runner
+    and the materialized runner see one packet sequence."""
 
     def test_processing_identical(self, proc_config):
         kwargs = dict(load=3.0, seed=4, n_sources=50)
-        stream = Trace(
-            list(stream_processing_workload(proc_config, 300, **kwargs))
-        )
-        materialized = processing_workload(proc_config, 300, **kwargs)
-        assert stream.n_slots == materialized.n_slots
-        for a, b in zip(stream.slots, materialized.slots):
-            assert [(p.port, p.work) for p in a] == [
-                (p.port, p.work) for p in b
-            ]
+        stream = _collected(processing_slots(proc_config, 300, **kwargs))
+        trace = columnar_processing_workload(proc_config, 300, **kwargs)
+        assert len(stream) == trace.n_slots
+        assert stream == _rows(trace)
 
     def test_value_port_identical(self, value_config):
         kwargs = dict(load=3.0, seed=9, n_sources=50)
-        stream = Trace(
-            list(stream_value_port_workload(value_config, 300, **kwargs))
+        stream = _collected(value_port_slots(value_config, 300, **kwargs))
+        trace = columnar_value_port_workload(value_config, 300, **kwargs)
+        assert stream == _rows(trace)
+
+    @pytest.mark.parametrize("port_bound_sources", [True, False])
+    def test_value_uniform_identical(self, port_bound_sources):
+        config = SwitchConfig.uniform(
+            4, 30, work=1, discipline=QueueDiscipline.PRIORITY
         )
-        materialized = value_port_workload(value_config, 300, **kwargs)
-        for a, b in zip(stream.slots, materialized.slots):
-            assert [(p.port, p.value) for p in a] == [
-                (p.port, p.value) for p in b
-            ]
+        kwargs = dict(
+            load=3.0, seed=6, n_sources=30,
+            port_bound_sources=port_bound_sources,
+        )
+        stream = _collected(value_uniform_slots(config, 200, 5, **kwargs))
+        trace = columnar_value_uniform_workload(config, 200, 5, **kwargs)
+        assert stream == _rows(trace)
 
     def test_slot_count_validated(self, proc_config):
         with pytest.raises(ConfigError):
-            list(stream_processing_workload(proc_config, 0))
+            list(processing_slots(proc_config, 0))
 
 
 class TestStreamRunner:
@@ -65,7 +86,7 @@ class TestStreamRunner:
         """The single-pass lock-step run must produce exactly the same
         objectives as the replay-twice runner on the same workload."""
         kwargs = dict(load=3.0, seed=2, n_sources=50)
-        trace = processing_workload(proc_config, 400, **kwargs)
+        trace = columnar_processing_workload(proc_config, 400, **kwargs)
         direct = measure_competitive_ratio(
             make_policy("LWD"), trace, proc_config,
             by_value=False, flush_every=100,
@@ -73,7 +94,7 @@ class TestStreamRunner:
         streamed = stream_competitive(
             make_policy("LWD"),
             proc_config,
-            stream_processing_workload(proc_config, 400, **kwargs),
+            processing_slots(proc_config, 400, **kwargs),
             flush_every=100,
         )
         assert streamed.alg_objective == direct.alg_objective
@@ -84,7 +105,7 @@ class TestStreamRunner:
         streamed = stream_competitive(
             make_policy("LWD"),
             proc_config,
-            stream_processing_workload(
+            processing_slots(
                 proc_config, 300, load=3.0, seed=1, n_sources=50
             ),
             checkpoint_every=100,
@@ -98,7 +119,7 @@ class TestStreamRunner:
         streamed = stream_competitive(
             make_policy("MRD"),
             value_config,
-            stream_value_port_workload(
+            value_port_slots(
                 value_config, 200, load=3.0, seed=3, n_sources=50
             ),
         )
@@ -122,7 +143,7 @@ class TestStreamRunner:
         streamed = stream_competitive(
             make_policy("LWD"),
             proc_config,
-            stream_processing_workload(
+            processing_slots(
                 proc_config, 50, load=3.0, seed=0, n_sources=20
             ),
         )

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.sweep import run_sweep
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
-from repro.traffic.workloads import processing_workload
+from repro.traffic.columnar import columnar_processing_workload
 
 
 def tiny_sweep(seeds=(0,), policies=("LWD", "LQD")):
@@ -16,10 +16,10 @@ def tiny_sweep(seeds=(0,), policies=("LWD", "LQD")):
         param_name="k",
         param_values=(2, 3),
         config_factory=lambda v: SwitchConfig.contiguous(int(v), 12),
-        trace_factory=lambda config, v, seed: processing_workload(
+        trace_factory=lambda config, v, seed: columnar_processing_workload(
             config, 100, load=3.0, seed=seed,
             mean_on_slots=5, mean_off_slots=45, n_sources=20,
-        ),
+        ).to_trace(),
         policy_names=policies,
         seeds=seeds,
         by_value=False,

@@ -1,4 +1,4 @@
-"""Differential suite: columnar trace pipeline vs object traces.
+"""Columnar trace pipeline: shapes, generators and trace reuse.
 
 Three contracts are pinned here (see docs/PIPELINE.md):
 
@@ -8,9 +8,10 @@ Three contracts are pinned here (see docs/PIPELINE.md):
   slots) without changing a single packet field, and
   :func:`repro.goldens.trace_digest` computes the same fingerprint
   from either shape.
-* **Generator twins** — every columnar generator produces packet
-  streams byte-identical to its object counterpart at matched
-  parameters: same ports, works, values, order, slot framing.
+* **Generator twins** — every recipe's one generator still produces
+  the packet stream its retired object twin produced, pinned by trace
+  digest at fixed parameters, and a bench panel's object and columnar
+  traces carry the same packets.
 * **Reuse is not identity** — a :class:`TraceStore` round-trips traces
   exactly through its memo and on-disk artifact tiers, degrades every
   corruption to a rebuild, and a sweep with reuse enabled produces
@@ -137,62 +138,82 @@ def _value_config() -> SwitchConfig:
     return SwitchConfig.value_contiguous(4, 12)
 
 
+#: Trace digests the retired object generators produced at the
+#: parameters below, when each recipe still had an object twin that the
+#: columnar generator matched packet for packet. The one generator per
+#: recipe must keep emitting exactly these streams.
+_TWIN_DIGESTS = {
+    ("processing", 0): (
+        "dfedd3a63c2c1b20d9548f8b0ccbf0fce0c70ff6ebb5a1275e8ed84ba93338cc"
+    ),
+    ("processing", 3): (
+        "7a107e21b21b4444e871877c3a29acf424f05541cfeee7565bc59a3f81652a1e"
+    ),
+    ("value-uniform", 0): (
+        "806de9d44e39d7613df5a6c3ed6feff698f1d2b8f81217c2d9a4bc72b6e32ff3"
+    ),
+    ("value-uniform", 3): (
+        "6f34f84cce93a9317c4dd62dc861f32129e45266bc2fc6989150cce3b1ab605b"
+    ),
+    ("value-port", 5): (
+        "205733240b8ab30d7427eb749bc1c421aec4dca0965b97fb9b630e1fec1eb5ac"
+    ),
+    ("poisson", 7): (
+        "0375b3421d010d9fc61e438b214286ca5c15925e3bb20d877f2fa971afd55ea8"
+    ),
+    ("saturating-proc", 2): (
+        "677f2db2579f2e961bf663c496daf7a46549013fb281eeae604fb1b3c4452dbf"
+    ),
+    ("saturating-value", 2): (
+        "aa1589c8cba057caefe3bb8225693b20b1b80edfdc2363f7d986a021e94aa9d1"
+    ),
+}
+
+
 @needs_numpy
 class TestGeneratorTwins:
+    """Each generator still emits its retired object twin's stream."""
+
     @pytest.mark.parametrize("seed", [0, 3])
     def test_processing_twin(self, seed):
         from repro.traffic.columnar import columnar_processing_workload
-        from repro.traffic.workloads import processing_workload
 
-        config = _proc_config()
-        obj = processing_workload(config, 80, load=2.5, seed=seed)
-        col = columnar_processing_workload(config, 80, load=2.5, seed=seed)
-        assert trace_digest(col) == trace_digest(obj)
-        _assert_same_trace(col.to_trace(), obj)
+        col = columnar_processing_workload(
+            _proc_config(), 80, load=2.5, seed=seed
+        )
+        assert trace_digest(col) == _TWIN_DIGESTS["processing", seed]
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_value_uniform_twin(self, seed):
         from repro.traffic.columnar import columnar_value_uniform_workload
-        from repro.traffic.workloads import value_uniform_workload
 
-        config = _value_config()
-        obj = value_uniform_workload(config, 80, 16, load=2.5, seed=seed)
         col = columnar_value_uniform_workload(
-            config, 80, 16, load=2.5, seed=seed
+            _value_config(), 80, 16, load=2.5, seed=seed
         )
-        assert trace_digest(col) == trace_digest(obj)
-        _assert_same_trace(col.to_trace(), obj)
+        assert trace_digest(col) == _TWIN_DIGESTS["value-uniform", seed]
 
     def test_value_port_twin(self):
         from repro.traffic.columnar import columnar_value_port_workload
-        from repro.traffic.workloads import value_port_workload
 
-        config = _value_config()
-        obj = value_port_workload(config, 60, load=2.0, seed=5)
-        col = columnar_value_port_workload(config, 60, load=2.0, seed=5)
-        assert trace_digest(col) == trace_digest(obj)
-        _assert_same_trace(col.to_trace(), obj)
+        col = columnar_value_port_workload(
+            _value_config(), 60, load=2.0, seed=5
+        )
+        assert trace_digest(col) == _TWIN_DIGESTS["value-port", 5]
 
     def test_poisson_twin(self):
         from repro.traffic.columnar import columnar_poisson_workload
-        from repro.traffic.patterns import poisson_workload
 
-        config = _proc_config()
-        obj = poisson_workload(config, 60, load=2.0, seed=7)
-        col = columnar_poisson_workload(config, 60, load=2.0, seed=7)
-        assert trace_digest(col) == trace_digest(obj)
-        _assert_same_trace(col.to_trace(), obj)
+        col = columnar_poisson_workload(_proc_config(), 60, load=2.0, seed=7)
+        assert trace_digest(col) == _TWIN_DIGESTS["poisson", 7]
 
     @pytest.mark.parametrize("by_value", [False, True])
     def test_saturating_twin(self, by_value):
-        from repro.bench import saturating_workload
         from repro.traffic.columnar import columnar_saturating_workload
 
         config = _value_config() if by_value else _proc_config()
-        obj = saturating_workload(config, 40, seed=2)
         col = columnar_saturating_workload(config, 40, seed=2)
-        assert trace_digest(col) == trace_digest(obj)
-        _assert_same_trace(col.to_trace(), obj)
+        recipe = "saturating-value" if by_value else "saturating-proc"
+        assert trace_digest(col) == _TWIN_DIGESTS[recipe, 2]
 
     def test_bench_panels_pin_trace_digest(self):
         from repro.bench import PANELS
@@ -245,7 +266,7 @@ class TestArrayColumns:
 # ----------------------------------------------------------------------
 
 
-def _small_trace() -> Trace:
+def _small_trace() -> ColumnarTrace:
     trace = Trace()
     trace.append_slot(
         [
@@ -255,7 +276,7 @@ def _small_trace() -> Trace:
     )
     trace.append_slot([])
     trace.append_slot([Packet(port=1, work=4, value=2.0, arrival_slot=2)])
-    return trace
+    return ColumnarTrace.from_trace(trace)
 
 
 class TestTraceStore:
@@ -345,7 +366,7 @@ class TestSweepReuseIdentity:
     def _sweep(jobs=None, with_store=False, store_dir=None):
         from repro.analysis.sweep import run_sweep
         from repro.analysis.tracestore import TraceStore
-        from repro.traffic.workloads import processing_workload
+        from repro.traffic.columnar import columnar_processing_workload
 
         def trace_key(config, value, seed):
             return f"test|n={config.n_ports}|seed={seed}"
@@ -359,9 +380,11 @@ class TestSweepReuseIdentity:
             param_name="B",
             param_values=(6, 9, 12),
             config_factory=lambda v: SwitchConfig.contiguous(3, int(v)),
-            trace_factory=lambda config, v, seed: processing_workload(
-                config, 60, load=3.0, seed=seed,
-                mean_on_slots=5, mean_off_slots=45, n_sources=20,
+            trace_factory=lambda config, v, seed: (
+                columnar_processing_workload(
+                    config, 60, load=3.0, seed=seed,
+                    mean_on_slots=5, mean_off_slots=45, n_sources=20,
+                )
             ),
             policy_names=("LWD", "LQD"),
             seeds=(0, 1),

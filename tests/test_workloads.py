@@ -1,16 +1,15 @@
-"""Tests for the synthetic workload generators."""
+"""Tests for the MMPP workload generators."""
 
 import pytest
 
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
-from repro.traffic.workloads import (
-    processing_capacity,
-    processing_workload,
-    value_capacity,
-    value_port_workload,
-    value_uniform_workload,
+from repro.traffic.columnar import (
+    columnar_processing_workload,
+    columnar_value_port_workload,
+    columnar_value_uniform_workload,
 )
+from repro.traffic.workloads import processing_capacity, value_capacity
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
@@ -39,13 +38,16 @@ class TestCapacities:
 
 class TestProcessingWorkload:
     def test_packets_respect_port_work(self, proc_config):
-        trace = processing_workload(proc_config, 300, load=2.0, seed=0)
-        for packet in trace.packets():
-            assert packet.work == proc_config.work_of(packet.port)
+        trace = columnar_processing_workload(
+            proc_config, 300, load=2.0, seed=0
+        )
+        assert trace.total_packets > 0
+        for port, work in zip(trace.ports, trace.works):
+            assert work == proc_config.work_of(port)
 
     def test_mean_rate_tracks_load(self, proc_config):
         load = 2.0
-        trace = processing_workload(
+        trace = columnar_processing_workload(
             proc_config, 20_000, load=load, seed=1,
             mean_on_slots=10, mean_off_slots=30,
         )
@@ -55,52 +57,52 @@ class TestProcessingWorkload:
         )
 
     def test_absolute_rate_overrides_load(self, proc_config):
-        trace = processing_workload(
+        trace = columnar_processing_workload(
             proc_config, 20_000, load=99.0, absolute_rate=1.5, seed=1,
             mean_on_slots=10, mean_off_slots=30,
         )
         assert trace.total_packets / 20_000 == pytest.approx(1.5, rel=0.15)
 
     def test_deterministic_under_seed(self, proc_config):
-        a = processing_workload(proc_config, 200, seed=5)
-        b = processing_workload(proc_config, 200, seed=5)
-        assert [len(s) for s in a.slots] == [len(s) for s in b.slots]
-        assert [p.port for p in a.packets()] == [p.port for p in b.packets()]
+        a = columnar_processing_workload(proc_config, 200, seed=5)
+        b = columnar_processing_workload(proc_config, 200, seed=5)
+        assert a == b
 
     def test_different_seeds_differ(self, proc_config):
-        a = processing_workload(proc_config, 500, seed=1)
-        b = processing_workload(proc_config, 500, seed=2)
-        assert [len(s) for s in a.slots] != [len(s) for s in b.slots]
+        a = columnar_processing_workload(proc_config, 500, seed=1)
+        b = columnar_processing_workload(proc_config, 500, seed=2)
+        assert a.offsets != b.offsets
 
     def test_needs_positive_slots(self, proc_config):
         with pytest.raises(ConfigError):
-            processing_workload(proc_config, 0)
+            columnar_processing_workload(proc_config, 0)
 
     def test_validates_against_config(self, proc_config):
-        trace = processing_workload(proc_config, 100, seed=3)
+        trace = columnar_processing_workload(proc_config, 100, seed=3)
         trace.validate_for(proc_config)
 
 
 class TestValueUniformWorkload:
     def test_values_in_range(self, value_config):
-        trace = value_uniform_workload(
+        trace = columnar_value_uniform_workload(
             value_config, 300, max_value=7, seed=0
         )
-        values = {p.value for p in trace.packets()}
-        assert values <= {float(v) for v in range(1, 8)}
+        assert set(trace.values) <= {float(v) for v in range(1, 8)}
 
     def test_unit_work(self, value_config):
-        trace = value_uniform_workload(value_config, 200, max_value=4, seed=0)
-        assert all(p.work == 1 for p in trace.packets())
+        trace = columnar_value_uniform_workload(
+            value_config, 200, max_value=4, seed=0
+        )
+        assert set(trace.works) == {1}
 
     def test_port_bound_sources_concentrate_bursts(self, value_config):
         # With port binding, per-slot bursts target few ports; without,
         # they spread over all ports. Compare distinct ports per burst.
-        bound = value_uniform_workload(
+        bound = columnar_value_uniform_workload(
             value_config, 2000, max_value=4, seed=0, n_sources=4,
             mean_on_slots=10, mean_off_slots=90, load=3.0,
         )
-        spread = value_uniform_workload(
+        spread = columnar_value_uniform_workload(
             value_config, 2000, max_value=4, seed=0, n_sources=4,
             mean_on_slots=10, mean_off_slots=90, load=3.0,
             port_bound_sources=False,
@@ -108,7 +110,9 @@ class TestValueUniformWorkload:
 
         def mean_distinct_ports(trace):
             per_slot = [
-                len({p.port for p in slot}) for slot in trace if slot
+                len(set(trace.ports[lo:hi]))
+                for lo, hi in zip(trace.offsets, trace.offsets[1:])
+                if hi > lo
             ]
             return sum(per_slot) / max(len(per_slot), 1)
 
@@ -116,27 +120,28 @@ class TestValueUniformWorkload:
 
     def test_max_value_validated(self, value_config):
         with pytest.raises(ConfigError):
-            value_uniform_workload(value_config, 10, max_value=0)
+            columnar_value_uniform_workload(value_config, 10, max_value=0)
 
     def test_value_distribution_roughly_uniform(self, value_config):
-        trace = value_uniform_workload(
+        trace = columnar_value_uniform_workload(
             value_config, 5000, max_value=4, seed=2, load=3.0,
             mean_on_slots=10, mean_off_slots=30,
         )
         counts = np.zeros(4)
-        for p in trace.packets():
-            counts[int(p.value) - 1] += 1
+        for value in trace.values:
+            counts[int(value) - 1] += 1
         assert counts.min() > 0.7 * counts.max()
 
 
 class TestValuePortWorkload:
     def test_value_equals_port_value(self, value_config):
-        trace = value_port_workload(value_config, 300, seed=0)
-        for packet in trace.packets():
-            assert packet.value == value_config.value_of(packet.port)
+        trace = columnar_value_port_workload(value_config, 300, seed=0)
+        assert trace.total_packets > 0
+        for port, value in zip(trace.ports, trace.values):
+            assert value == value_config.value_of(port)
 
     def test_port_weights_skew_assignment(self, value_config):
-        trace = value_port_workload(
+        trace = columnar_value_port_workload(
             value_config, 3000, seed=0, load=3.0,
             mean_on_slots=10, mean_off_slots=30,
             port_weights=np.array([0.0001, 0.0001, 0.0001, 1.0]),
@@ -146,12 +151,12 @@ class TestValuePortWorkload:
 
     def test_bad_port_weights_rejected(self, value_config):
         with pytest.raises(ConfigError):
-            value_port_workload(
+            columnar_value_port_workload(
                 value_config, 10, port_weights=np.array([1.0, 2.0])
             )
 
     def test_absolute_rate(self, value_config):
-        trace = value_port_workload(
+        trace = columnar_value_port_workload(
             value_config, 20_000, absolute_rate=2.0, seed=1,
             mean_on_slots=10, mean_off_slots=30,
         )
