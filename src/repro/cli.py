@@ -328,11 +328,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         trace_reuse=bool(args.trace_reuse),
         farm=_farm_options(args),
     )
-    try:
-        write_report(args.out, options)
-    except OSError as exc:
-        print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
-        return 2
+    write_report(args.out, options)
     print(f"# wrote {args.out}")
     return 0
 
@@ -371,7 +367,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.baseline:
         try:
             baseline = load_report(args.baseline)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             print(
                 f"error: cannot read baseline {args.baseline}: {exc}",
                 file=sys.stderr,
@@ -543,14 +539,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import replay_trace
 
     if args.verify:
-        try:
-            result = replay_trace(args.verify)
-        except OSError as exc:
-            print(
-                f"error: cannot read trace {args.verify}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+        result = replay_trace(args.verify)
         print(f"# {args.verify}")
         print(result.summary())
         result.verify()
@@ -1538,6 +1527,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # A path the user named cannot be read or written (missing
+        # file, a regular file where a directory is needed, ...): one
+        # line, the usage-error exit code, no traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -42,13 +42,10 @@ ascending ``(w_p, p)`` order, so comparing ranks compares the paper's
 faces an unresolved tie.
 
 The transmission phase is batched as well. Single-core FIFO heads
-decrement uniformly, so on narrow switches the engine keeps an
-*expiry-tick calendar*: each armed head is scheduled once at the
-absolute phase tick where it completes, advancing the tick is the
-whole decrement, and a phase costs O(completions) — one dict pop —
-instead of O(active ports). Wide switches (``ARRAY_TRANSMIT_MIN_PORTS``
-and up, with numpy) use the whole-array decrement over the
-head-residual column instead.
+decrement uniformly, so the engine keeps an *expiry-tick calendar*:
+each armed head is scheduled once at the absolute phase tick where it
+completes, advancing the tick is the whole decrement, and a phase
+costs O(completions) — one dict pop — instead of O(active ports).
 
 Every other policy (value-model, thresholds, extensions) runs its own
 *naive* selector unmodified against :class:`ColumnarView`, a
@@ -95,7 +92,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core import columns as _columns
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.decisions import DROP, Action, Decision
 from repro.core.errors import PolicyError, TraceError
@@ -109,13 +105,6 @@ K_GENERIC = 0
 K_LQD = 1
 K_LWD = 2
 K_BPD = 3
-
-#: Minimum switch width at which the whole-array transmission update
-#: (ndarray ``hr -= amask`` + ``flatnonzero``) is used instead of the
-#: expiry-tick calendar. The array form costs a fixed few microseconds
-#: of numpy dispatch per slot regardless of width; the calendar costs
-#: O(completions) per slot plus a small per-(re)arm constant.
-ARRAY_TRANSMIT_MIN_PORTS = 128
 
 #: Burst-validation memo: (id(burst), id(config)) -> strong refs.
 #: Strong references pin both objects, so ids cannot be recycled while
@@ -328,12 +317,9 @@ class VectorizedSwitch:
 
     State lives in flat per-port columns:
 
-    * ``_lens`` — queue lengths (list; scalar-hot).
-    * ``_hr`` / ``_amask`` — FIFO head residual work and 0/1 active
-      mask (wide switches only: ndarray columns consumed by the
-      whole-array transmission decrement).
+    * ``_lens`` — queue lengths.
     * ``_hexp`` / ``_sched`` / ``_tick`` — head expiry-tick column and
-      transmission calendar (narrow switches): the head of port ``p``
+      transmission calendar (single-core FIFO): the head of port ``p``
       completes during the transmission phase whose tick equals
       ``_hexp[p]``, so advancing ``_tick`` decrements every active
       head at once and a phase costs O(completions).
@@ -369,42 +355,22 @@ class VectorizedSwitch:
         # only the head of a FIFO queue ever holds partial work.
         self._fast_fifo = not self._by_value and config.speedup == 1
         self._works: List[int] = list(config.works)
-        self._lens: List[int] = _columns.scalar_int_column(n)
-        self._tv: List[float] = _columns.scalar_float_column(n)
+        # Plain lists: the arrival loops touch one element at a time,
+        # and CPython list indexing beats ndarray scalar access.
+        self._lens: List[int] = [0] * n
+        self._tv: List[float] = [0.0] * n
         self._active: List[int] = []
         self._is_act: List[bool] = [False] * n
         self._seq = packet_seq_source()
 
-        self._np = _columns.numpy_module()
+        # Single-core FIFO heads live on an expiry-tick calendar
+        # (_hexp/_sched): a transmission phase costs O(completions) —
+        # one dict pop — instead of O(active ports). Elsewhere the
+        # calendar stays empty and an explicit work total is kept.
         self._tick = 0
-        if self._fast_fifo:
-            # Two head-residual representations, fixed per instance:
-            # wide switches use ndarray columns so the transmission
-            # decrement is one whole-array op (hr -= amask); narrow
-            # switches keep an expiry-tick calendar (_hexp/_sched), so
-            # a transmission phase costs O(completions) — one dict pop
-            # — instead of O(active ports). The whole-array form only
-            # amortizes its fixed numpy dispatch cost past ~128 ports.
-            wide = (
-                self._np is not None and n >= ARRAY_TRANSMIT_MIN_PORTS
-            )
-            if wide:
-                self._hr: Any = _columns.int_column(n, fill=1)
-                self._amask: Any = _columns.int_column(n)
-                self._hexp: Optional[List[int]] = None
-                self._sched: Optional[Dict[int, List[int]]] = None
-            else:
-                self._hr = None
-                self._amask = None
-                self._hexp = _columns.scalar_int_column(n)
-                self._sched = {}
-            self._tw: Optional[List[int]] = None
-        else:
-            self._hr = None
-            self._amask = None
-            self._hexp = None
-            self._sched = None
-            self._tw = _columns.scalar_int_column(n)
+        self._hexp: List[int] = [0] * n
+        self._sched: Dict[int, List[int]] = {}
+        self._tw: Optional[List[int]] = None if self._fast_fifo else [0] * n
 
         if self._by_value:
             self._vals: List[List[float]] = [[] for _ in range(n)]
@@ -419,7 +385,7 @@ class VectorizedSwitch:
         # comparing ranks compares the paper's (w_j, j) tie-break.
         order = sorted(range(n), key=lambda p: (self._works[p], p))
         self._porder: List[int] = order
-        self._rank: List[int] = _columns.scalar_int_column(n)
+        self._rank: List[int] = [0] * n
         for r, p in enumerate(order):
             self._rank[p] = r
         self._bit: List[int] = [1 << r for r in range(n)]
@@ -443,8 +409,8 @@ class VectorizedSwitch:
         # packet (pcode + w*n), so the congested drop test is a single
         # column read.
         self._codes: List[int] = []
-        self._pcode: List[int] = _columns.scalar_int_column(n)
-        self._ncode: List[int] = _columns.scalar_int_column(n)
+        self._pcode: List[int] = [0] * n
+        self._ncode: List[int] = [0] * n
         self._off = 0
         # BPD kernel state.
         self._nm = 0
@@ -477,23 +443,14 @@ class VectorizedSwitch:
     # ------------------------------------------------------------------
 
     def _head_residual(self, port: int) -> int:
-        """Residual work of the head packet of a non-empty FIFO queue.
-
-        Reads whichever head representation this instance uses: the
-        residual column directly (wide switches) or the head's expiry
-        tick relative to the current phase tick (narrow switches).
-        """
-        if self._sched is None:
-            return int(self._hr[port])
-        return self._hexp[port] - self._tick  # type: ignore[index]
+        """Residual work of the head packet of a non-empty FIFO queue:
+        its expiry tick relative to the current phase tick."""
+        return self._hexp[port] - self._tick
 
     def _rearm_head(self, port: int, residual: int) -> None:
         """(Re)arm ``port``'s head residual after an admit/completion."""
-        if self._sched is None:
-            self._hr[port] = residual
-            return
         expiry = self._tick + residual
-        self._hexp[port] = expiry  # type: ignore[index]
+        self._hexp[port] = expiry
         bucket = self._sched.get(expiry)
         if bucket is None:
             self._sched[expiry] = [port]
@@ -870,10 +827,7 @@ class VectorizedSwitch:
                 self._recs[port].clear()
             else:
                 self._stores[port].clear()
-            if self._amask is not None:
-                self._amask[port] = 0
-                self._hr[port] = 1
-        # Narrow fast-FIFO calendar entries are left in place: every
+        # Fast-FIFO calendar entries are left in place: every
         # flushed port is now inactive, so its entries fail the
         # validity check when their tick pops.
         self._active = []
@@ -1132,19 +1086,12 @@ class VectorizedSwitch:
     def _activate(self, port: int) -> None:
         insort(self._active, port)
         self._is_act[port] = True
-        if self._amask is not None:
-            self._amask[port] = 1
 
     def _deactivate(self, port: int) -> None:
+        # Stale calendar entries of a deactivated fast-FIFO port fail
+        # the is-active/expiry validity check when their tick pops.
         del self._active[bisect_left(self._active, port)]
         self._is_act[port] = False
-        if self._amask is not None:
-            # Wide fast-FIFO: park the residual at 1 so the whole-array
-            # decrement of inactive ports never reaches zero. Narrow
-            # fast-FIFO needs nothing — stale calendar entries fail the
-            # is-active/expiry validity check when their tick pops.
-            self._amask[port] = 0
-            self._hr[port] = 1
 
     def transmission_phase(self) -> List[Packet]:
         """Process every non-empty queue once (slow path).
@@ -1158,10 +1105,10 @@ class VectorizedSwitch:
         works = self._works
         if self._active:
             tick = 0
-            if self._sched is not None:
-                # Narrow fast-FIFO: one tick advance decrements every
-                # active head at once; heads complete when their stored
-                # expiry equals the new tick.
+            if self._fast_fifo:
+                # One tick advance decrements every active head at
+                # once; heads complete when their stored expiry equals
+                # the new tick.
                 tick = self._tick + 1
                 self._tick = tick
             for port in tuple(self._active):
@@ -1203,27 +1150,21 @@ class VectorizedSwitch:
                         )
                     if not store:
                         self._deactivate(port)
-                else:
-                    if self._sched is not None:
-                        complete = self._hexp[port] == tick  # type: ignore[index]
-                    else:
-                        self._hr[port] -= 1
-                        complete = not self._hr[port]
-                    if complete:
-                        rec = self._stores[port].popleft()
-                        self._tv[port] -= rec[0]
-                        length = self._lens[port] - 1
-                        self._lens[port] = length
-                        self.occupancy -= 1
-                        transmitted.append(
-                            _new_packet(
-                                port, works[port], rec[0], rec[1], rec[2], 0
-                            )
+                elif self._hexp[port] == tick:
+                    rec = self._stores[port].popleft()
+                    self._tv[port] -= rec[0]
+                    length = self._lens[port] - 1
+                    self._lens[port] = length
+                    self.occupancy -= 1
+                    transmitted.append(
+                        _new_packet(
+                            port, works[port], rec[0], rec[1], rec[2], 0
                         )
-                        if length:
-                            self._rearm_head(port, works[port])
-                        else:
-                            self._deactivate(port)
+                    )
+                    if length:
+                        self._rearm_head(port, works[port])
+                    else:
+                        self._deactivate(port)
         self.metrics.record_transmissions(
             transmitted, slot=self.current_slot
         )
@@ -1279,8 +1220,6 @@ class VectorizedSwitch:
         lens = self._lens
         tv = self._tv
         stores = self._stores
-        hr = self._hr
-        amask = self._amask
         sched = self._sched
         hexp = self._hexp
         tick = self._tick
@@ -1326,17 +1265,13 @@ class VectorizedSwitch:
                 else:
                     insort(active, p)
                     is_act[p] = True
-                    if sched is None:
-                        hr[p] = works[p]
-                        amask[p] = 1
+                    e = tick + works[p]
+                    hexp[p] = e
+                    b = sched.get(e)
+                    if b is None:
+                        sched[e] = [p]
                     else:
-                        e = tick + works[p]
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
+                        b.append(p)
                 masks[nl] |= bit[r]
                 # No queue shrank: the maximum can only move up to nl
                 # (then the arrival's rank is alone there) or gain the
@@ -1369,9 +1304,6 @@ class VectorizedSwitch:
             else:
                 del active[bisect_left(active, t)]
                 is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
             pushed += 1
             dropped_by_port[t] += 1
             v = values[i]
@@ -1385,17 +1317,13 @@ class VectorizedSwitch:
             else:
                 insort(active, p)
                 is_act[p] = True
-                if sched is None:
-                    hr[p] = works[p]
-                    amask[p] = 1
+                e = tick + works[p]
+                hexp[p] = e
+                b = sched.get(e)
+                if b is None:
+                    sched[e] = [p]
                 else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
+                    b.append(p)
             masks[nl] |= bit[r]
             # The old maximum lost its top rank and the arrival
             # entered at nl <= maxl; recompute downward (the own
@@ -1431,8 +1359,6 @@ class VectorizedSwitch:
         lens = self._lens
         tv = self._tv
         stores = self._stores
-        hr = self._hr
-        amask = self._amask
         sched = self._sched
         hexp = self._hexp
         tick = self._tick
@@ -1473,17 +1399,13 @@ class VectorizedSwitch:
                     nc = (w + off) * nr + rank[p]
                     insort(active, p)
                     is_act[p] = True
-                    if sched is None:
-                        hr[p] = w
-                        amask[p] = 1
+                    e = tick + w
+                    hexp[p] = e
+                    b = sched.get(e)
+                    if b is None:
+                        sched[e] = [p]
                     else:
-                        e = tick + w
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
+                        b.append(p)
                 insort(codes, nc)
                 pcode[p] = nc
                 ncode[p] = nc + w * nr
@@ -1524,9 +1446,6 @@ class VectorizedSwitch:
             else:
                 del active[bisect_left(active, t)]
                 is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
             pushed += 1
             dropped_by_port[t] += 1
             w = works[p]
@@ -1535,17 +1454,13 @@ class VectorizedSwitch:
             else:
                 insort(active, p)
                 is_act[p] = True
-                if sched is None:
-                    hr[p] = w
-                    amask[p] = 1
+                e = tick + w
+                hexp[p] = e
+                b = sched.get(e)
+                if b is None:
+                    sched[e] = [p]
                 else:
-                    e = tick + w
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
+                    b.append(p)
             insort(codes, nc)
             pcode[p] = nc
             ncode[p] = nc + w * nr
@@ -1585,8 +1500,6 @@ class VectorizedSwitch:
         lens = self._lens
         tv = self._tv
         stores = self._stores
-        hr = self._hr
-        amask = self._amask
         sched = self._sched
         hexp = self._hexp
         tick = self._tick
@@ -1629,17 +1542,13 @@ class VectorizedSwitch:
                     nm |= bit[rank[p]]
                     insort(active, p)
                     is_act[p] = True
-                    if sched is None:
-                        hr[p] = works[p]
-                        amask[p] = 1
+                    e = tick + works[p]
+                    hexp[p] = e
+                    b = sched.get(e)
+                    if b is None:
+                        sched[e] = [p]
                     else:
-                        e = tick + works[p]
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
+                        b.append(p)
         for i in range(split, hi):
             p = ports[i]
             r = rank[p]
@@ -1657,9 +1566,6 @@ class VectorizedSwitch:
                 nm ^= bit[vr]
                 del active[bisect_left(active, t)]
                 is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
             pushed += 1
             dropped_by_port[t] += 1
             # Read the own length only now: when r == vr the arrival
@@ -1679,17 +1585,13 @@ class VectorizedSwitch:
                 nm |= bit[r]
                 insort(active, p)
                 is_act[p] = True
-                if sched is None:
-                    hr[p] = works[p]
-                    amask[p] = 1
+                e = tick + works[p]
+                hexp[p] = e
+                b = sched.get(e)
+                if b is None:
+                    sched[e] = [p]
                 else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
+                    b.append(p)
         self.occupancy = occ
         self._nm = nm
         metrics.accepted += accepted
@@ -1809,51 +1711,41 @@ class VectorizedSwitch:
     def _transmit_fifo_fast(self) -> None:
         """Single-core FIFO transmission phase, fast mode.
 
-        Narrow switches pop the current tick's calendar bucket: the
-        phase costs O(completions), because advancing the tick *is* the
-        uniform head decrement. Bucket entries can be stale (the head
-        they were armed for was pushed out or flushed), so each is
-        validated against the port's live expiry before completing;
-        survivors are processed in ascending port order exactly like
-        the reference's active-set walk. Wide switches decrement the
-        whole residual column at once (``hr -= amask``) and complete
-        the zero entries.
+        Pops the current tick's calendar bucket: the phase costs
+        O(completions), because advancing the tick *is* the uniform
+        head decrement. Bucket entries can be stale (the head they were
+        armed for was pushed out or flushed), so each is validated
+        against the port's live expiry before completing; survivors are
+        processed in ascending port order exactly like the reference's
+        active-set walk.
         """
         active = self._active
         if not active:
             return
         kind = self._kkind if self._kclean else K_GENERIC
-        hr = self._hr
-        amask = self._amask
         sched = self._sched
         hexp = self._hexp
         is_act = self._is_act
-        tick = 0
+        tick = self._tick + 1
+        self._tick = tick
         done: List[int]
-        if sched is None:
-            np = self._np
-            hr -= amask
-            done = np.flatnonzero(hr == 0).tolist()
-        else:
-            tick = self._tick + 1
-            self._tick = tick
-            bucket = sched.pop(tick, None)
-            if bucket is None:
-                done = []
-            elif len(bucket) == 1:
-                p = bucket[0]
-                if is_act[p] and hexp[p] == tick:
-                    done = bucket
-                else:
-                    done = []
+        bucket = sched.pop(tick, None)
+        if bucket is None:
+            done = []
+        elif len(bucket) == 1:
+            p = bucket[0]
+            if is_act[p] and hexp[p] == tick:
+                done = bucket
             else:
-                bucket.sort()
                 done = []
-                last = -1
-                for p in bucket:
-                    if p != last and is_act[p] and hexp[p] == tick:
-                        done.append(p)
-                    last = p
+        else:
+            bucket.sort()
+            done = []
+            last = -1
+            for p in bucket:
+                if p != last and is_act[p] and hexp[p] == tick:
+                    done.append(p)
+                last = p
         if not done:
             if kind == K_LWD:
                 self._off += 1
@@ -1885,22 +1777,16 @@ class VectorizedSwitch:
                 delay_sum[p] += slot - arr
                 delay_count[p] += 1
             if nl:
-                if sched is None:
-                    hr[p] = works[p]
+                e = tick + works[p]
+                hexp[p] = e
+                b = sched.get(e)
+                if b is None:
+                    sched[e] = [p]
                 else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
+                    b.append(p)
             else:
                 del active[bisect_left(active, p)]
                 is_act[p] = False
-                if sched is None:
-                    hr[p] = 1
-                    amask[p] = 0
             if kind == K_LQD:
                 r = rank[p]
                 masks[nl + 1] ^= bit[r]
@@ -1946,7 +1832,6 @@ class VectorizedSwitch:
         tv = self._tv
         tw = self._tw
         is_act = self._is_act
-        amask = self._amask
         tx_by_port = metrics.transmitted_by_port
         txv_by_port = metrics.transmitted_value_by_port
         delay_sum = metrics.delay_sum_by_port
@@ -1978,8 +1863,6 @@ class VectorizedSwitch:
             if not recs:
                 del active[bisect_left(active, p)]
                 is_act[p] = False
-                if amask is not None:
-                    amask[p] = 0
         self.occupancy = occ
 
     @hot_path
@@ -1995,9 +1878,7 @@ class VectorizedSwitch:
         lens = self._lens
         tv = self._tv
         tw = self._tw
-        works = self._works
         is_act = self._is_act
-        amask = self._amask
         tx_by_port = metrics.transmitted_by_port
         txv_by_port = metrics.transmitted_value_by_port
         delay_sum = metrics.delay_sum_by_port
@@ -2027,9 +1908,6 @@ class VectorizedSwitch:
             if not store:
                 del active[bisect_left(active, p)]
                 is_act[p] = False
-                if amask is not None:
-                    amask[p] = 0
-            _ = works
         self.occupancy = occ
 
     # ------------------------------------------------------------------
@@ -2041,7 +1919,7 @@ class VectorizedSwitch:
 
         Validates the columnar state against the per-packet record
         stores (the object view): lengths, occupancy, value and work
-        totals, active-set/mask coherence, residual bounds, priority
+        totals, active-set coherence, residual bounds, priority
         ordering — and, when a kernel is bound and clean, the derived
         victim-selection structures against a from-scratch rebuild.
         This is the check that ``REPRO_CHECK_INVARIANTS`` runs
@@ -2086,12 +1964,11 @@ class VectorizedSwitch:
                             f"outside 1..{work}"
                         )
                         expect_work = head_residual + (length - 1) * work
-                        if self._sched is not None:
-                            expiry = self._hexp[port]  # type: ignore[index]
-                            assert port in self._sched.get(expiry, ()), (
-                                f"port {port}: head expiry {expiry} not "
-                                "on the transmission calendar"
-                            )
+                        expiry = self._hexp[port]
+                        assert port in self._sched.get(expiry, ()), (
+                            f"port {port}: head expiry {expiry} not "
+                            "on the transmission calendar"
+                        )
                     for rec in store:
                         expect_value += rec[0]
                 else:
@@ -2117,11 +1994,6 @@ class VectorizedSwitch:
             f"active set {self._active} != {expect_active}"
         )
         assert self._is_act == [self._lens[p] > 0 for p in range(n)]
-        if self._amask is not None:
-            mask_list = [int(self._amask[p]) for p in range(n)]
-            assert mask_list == [
-                1 if self._lens[p] > 0 else 0 for p in range(n)
-            ], f"active mask {mask_list} diverged from length column"
         # Buffer-model and churn accounting (mirrors the reference).
         assert self._n_down == self._port_up.count(False)
         for port, port_up in enumerate(self._port_up):
@@ -2135,8 +2007,14 @@ class VectorizedSwitch:
                 r for r, port_up in zip(reserved, self._port_up) if not port_up
             )
             assert self._down_reserved == expect_down
+            # Bound that holds on every reachable state (see the
+            # reference ``check_invariants``): a port back up may find
+            # its reservation still held by other ports' overflow.
             shared = self._shared_occupancy()
-            assert shared <= self._shared_pool + self._down_reserved, (
+            idle_reserved = sum(
+                max(0, r - length) for r, length in zip(reserved, self._lens)
+            )
+            assert shared <= self._shared_pool + idle_reserved, (
                 f"shared occupancy {shared} exceeds usable shared slots"
             )
         if self._kclean:
@@ -2145,7 +2023,6 @@ class VectorizedSwitch:
     def _check_kernel_invariants(self) -> None:
         """Derived kernel structures must match a from-scratch rebuild."""
         kind = self._kkind
-        n = self.config.n_ports
         rank = self._rank
         bit = self._bit
         if kind == K_LQD:
@@ -2188,7 +2065,6 @@ class VectorizedSwitch:
             assert self._nm == expect_nm, (
                 f"BPD bitmask {self._nm:b} != {expect_nm:b}"
             )
-        _ = n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         lens = ",".join(str(length) for length in self._lens)

@@ -1,35 +1,26 @@
-"""Flat per-port column storage for the vectorized batch-slot engine.
+"""Column-backend selection: numpy arrays or pure-python lists.
 
-The vectorized engine (:mod:`repro.core.columnar`) keeps switch state as
-struct-of-arrays columns indexed by output port instead of per-packet
-objects. Two backends provide the columns:
+The columnar pipeline keeps per-packet data in flat columns. Where a
+consumer batches whole spans — the vectorized OPT surrogates' congested
+prefilter, fed through
+:meth:`repro.traffic.columnar.ColumnarTrace.array_columns` — the
+columns are int64/float64 ndarrays; everywhere else (the canonical
+trace columns, the vectorized engine's per-port state) they are plain
+Python lists, because CPython list indexing beats ndarray scalar access
+and the hot loops touch one element at a time.
 
-* ``numpy`` — ``int64``/``float64`` ndarrays; enables whole-array
-  transmission updates (``head_residual -= active_mask``).
-* ``python`` — :class:`array.array` typecodes ``'q'``/``'d'``; a pure
-  stdlib fallback used when numpy is unavailable (or forced via
-  ``REPRO_VECTOR_BACKEND=python``), with a per-port loop in the
-  transmission phase.
-
-Columns whose access pattern is scalar-per-arrival (queue lengths, value
-totals, cached victim codes) are deliberately plain Python lists —
-CPython list indexing beats ndarray scalar access by ~5x, and the hot
-arrival loops touch one element at a time. Only columns consumed by
-whole-array operations (head residuals, the active-port mask) use the
-backend arrays. :func:`scalar_int_column` / :func:`scalar_float_column`
-build the list-backed columns so the layout is defined in one place.
-
-Backend selection happens once per process, controlled by the
-``REPRO_VECTOR_BACKEND`` environment variable: ``auto`` (default; numpy
-when importable), ``numpy`` (require numpy, raise otherwise), or
-``python`` (never import numpy).
+This module decides, once per process, whether numpy is used at all,
+controlled by the ``REPRO_VECTOR_BACKEND`` environment variable:
+``auto`` (default; numpy when importable), ``numpy`` (require numpy,
+raise otherwise), or ``python`` (treat numpy as absent: ``array_columns``
+then returns ``None`` and every consumer runs on the list columns; the
+traffic generators still draw with numpy, their RNG is pinned to it).
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from typing import Any, List, Sequence
+from typing import Any
 
 from repro.core.errors import ConfigError
 
@@ -86,46 +77,3 @@ def numpy_module() -> Any:
     """The numpy module when the backend is ``numpy``, else ``None``."""
     backend()
     return _np
-
-
-def int_column(n: int, fill: int = 0) -> Any:
-    """A length-``n`` signed 64-bit column on the active backend."""
-    if backend() == "numpy":
-        return _np.full(n, fill, dtype=_np.int64)
-    return array("q", [fill]) * n if n else array("q")
-
-
-def float_column(n: int, fill: float = 0.0) -> Any:
-    """A length-``n`` float64 column on the active backend."""
-    if backend() == "numpy":
-        return _np.full(n, fill, dtype=_np.float64)
-    return array("d", [fill]) * n if n else array("d")
-
-
-def scalar_int_column(n: int, fill: int = 0) -> List[int]:
-    """A list-backed integer column for scalar-hot access patterns."""
-    return [fill] * n
-
-
-def scalar_float_column(n: int, fill: float = 0.0) -> List[float]:
-    """A list-backed float column for scalar-hot access patterns."""
-    return [fill] * n
-
-
-def int_column_from(values: Sequence[int]) -> Any:
-    """A signed 64-bit column holding ``values`` on the active backend."""
-    if backend() == "numpy":
-        return _np.asarray(values, dtype=_np.int64)
-    return array("q", values)
-
-
-def float_column_from(values: Sequence[float]) -> Any:
-    """A float64 column holding ``values`` on the active backend."""
-    if backend() == "numpy":
-        return _np.asarray(values, dtype=_np.float64)
-    return array("d", values)
-
-
-def column_list(col: Any) -> List[Any]:
-    """Materialize any column as a plain list (for invariant checks)."""
-    return [col[i] for i in range(len(col))]

@@ -27,14 +27,22 @@ Both are selected through ``make_surrogate(..., engine="vectorized")``
 and expose the same :class:`~repro.opt.surrogate.System` surface plus a
 ``run_slot_columns`` entry point that ingests
 :class:`~repro.traffic.columnar.ColumnarTrace` spans without packet
-materialization. Like fast-mode :class:`~repro.core.columnar.
-VectorizedSwitch`, ``run_slot`` returns ``[]``: transmissions are
-accounted in metrics only (the competitive runner ignores the return
-value), and admitted entries carry no sequence numbers. All
-decision-relevant and metrics-relevant quantities — counters, per-port
-drop/transmit splits, the float accumulation order of
-``transmitted_value`` — are identical to the reference, which the
-differential suite (``tests/test_surrogate_vectorized.py``) enforces.
+materialization. Each surrogate has **one arrival body**: ndarray
+columns, list columns and ``Packet`` bursts (``run_slot`` converts them
+to list columns) all reach it, and a slot with a port down first counts
+and removes its down-port arrivals, then runs the same body on the rest.
+Only ndarray columns get the congested-stretch prefilter, which is an
+optimization the exact loop does not need.
+
+Like fast-mode :class:`~repro.core.columnar.VectorizedSwitch`,
+``run_slot`` returns ``[]``: transmissions are accounted in metrics
+only (the competitive runner ignores the return value), and admitted
+entries carry no sequence numbers. All decision-relevant and
+metrics-relevant quantities — counters, per-port drop/transmit splits,
+the float accumulation order of ``transmitted_value`` — are identical
+to the reference, which the differential suite
+(``tests/test_surrogate_vectorized.py``) enforces, with and without
+port churn.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple
 
-try:  # pure-stdlib installs fall back to the per-packet loop
+try:  # pure-stdlib installs run the same body on list columns
     import numpy as np
 except ImportError:  # pragma: no cover - exercised by the no-numpy leg
     np = None  # type: ignore[assignment]
@@ -58,9 +66,9 @@ __all__ = ["VectorizedSrptSurrogate", "VectorizedMaxValueSurrogate"]
 #: Head regions shorter than this are not worth compacting away.
 _COMPACT_MIN = 512
 
-#: Bursts at or below this size skip the vector filter: slicing,
-#: comparing, and bincounting a handful of packets costs more than the
-#: per-packet loop it replaces.
+#: Congested stretches at or below this size skip the vector filter:
+#: slicing, comparing, and bincounting a handful of packets costs more
+#: than the exact loop it would shorten.
 _BATCH_MIN = 32
 
 
@@ -94,6 +102,89 @@ class _ColumnSurrogate:
         raise NotImplementedError
 
     def flush(self) -> int:
+        raise NotImplementedError
+
+    def run_slot(self, arrivals: Sequence[Packet]) -> List[Packet]:
+        """One slot over packet objects; returns ``[]`` (fast mode)."""
+        return self.run_slot_columns(
+            [packet.port for packet in arrivals],
+            [packet.work for packet in arrivals],
+            [packet.value for packet in arrivals],
+            None,
+            0,
+            len(arrivals),
+        )
+
+    @hot_path
+    def run_slot_columns(
+        self,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        lo: int,
+        hi: int,
+    ) -> List[Packet]:
+        """One slot straight from trace columns (span ``[lo, hi)``).
+
+        While a port is down, its arrivals are counted as drops and
+        removed first: they change no buffer state and every counter
+        they touch is an integer, so counting them ahead of the rest
+        of the slot lands every counter where the reference puts it.
+        The remaining arrivals run the one arrival body.
+        """
+        metrics = self.metrics
+        metrics.arrived += hi - lo
+        if self._n_down:
+            ports, works, values = self._drop_down_arrivals(
+                ports, works, values, lo, hi
+            )
+            lo, hi = 0, len(ports)
+        if hi > lo:
+            self._arrive(ports, works, values, lo, hi)
+        self._transmit()
+        metrics.record_slot(self.backlog)
+        return []
+
+    def _drop_down_arrivals(
+        self,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        lo: int,
+        hi: int,
+    ) -> Tuple[List[int], List[int], List[float]]:
+        """Count the span's arrivals to down ports; list the others."""
+        span = [ports[lo:hi], works[lo:hi], values[lo:hi]]
+        if np is not None and isinstance(ports, np.ndarray):
+            span = [column.tolist() for column in span]
+        port_up = self._port_up
+        metrics = self.metrics
+        dbp = metrics.dropped_by_port
+        kp: List[int] = []
+        kw: List[int] = []
+        kv: List[float] = []
+        for port, work, value in zip(*span):
+            if port_up[port]:
+                kp.append(port)
+                kw.append(work)
+                kv.append(value)
+            else:
+                metrics.dropped += 1
+                dbp[port] += 1
+        return kp, kw, kv
+
+    def _arrive(
+        self,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        lo: int,
+        hi: int,
+    ) -> None:
+        raise NotImplementedError
+
+    def _transmit(self) -> None:
         raise NotImplementedError
 
     def fast_forward(self, n_slots: int) -> None:
@@ -235,79 +326,6 @@ class VectorizedSrptSurrogate(_ColumnSurrogate):
         return removed
 
     @hot_path
-    def _insert(self, residual: int, port: int, value: float) -> None:
-        """Place one packet where the reference's ``insort`` would.
-
-        ``bisect_right`` over the active ticks mirrors ``insort`` over
-        the global residual list: when the key ties across the
-        active/waiting boundary the active-side probe lands past the
-        active tail, deferring to the waiting-side probe — exactly the
-        reference's after-all-equals placement.
-        """
-        act_exp = self._act_exp
-        ah = self._ah
-        key = self._tick + residual
-        if len(act_exp) - ah < self.cores:
-            pos = bisect_right(act_exp, key, ah)
-            act_exp.insert(pos, key)
-            self._act_rec.insert(pos, (port, value))
-            return
-        pos = bisect_right(act_exp, key, ah)
-        if pos < len(act_exp):
-            # Belongs inside the active window: the previous active
-            # tail (the largest active residual) demotes to the front
-            # of the waiting pool, preserving the global order.
-            act_exp.insert(pos, key)
-            self._act_rec.insert(pos, (port, value))
-            demoted_res = act_exp.pop() - self._tick
-            demoted_rec = self._act_rec.pop()
-            wh = self._wh
-            if wh > 0:
-                wh -= 1
-                self._wait_res[wh] = demoted_res
-                self._wait_rec[wh] = demoted_rec
-                self._wh = wh
-            else:
-                self._wait_res.insert(0, demoted_res)
-                self._wait_rec.insert(0, demoted_rec)
-        else:
-            wpos = bisect_right(self._wait_res, residual, self._wh)
-            self._wait_res.insert(wpos, residual)
-            self._wait_rec.insert(wpos, (port, value))
-
-    @hot_path
-    def _admit_fields(self, port: int, work: int, value: float) -> None:
-        metrics = self.metrics
-        if self._size < self.buffer_size:
-            self._insert(work, port, value)
-            self._size += 1
-            metrics.accepted += 1
-            return
-        # Push out the largest-residual packet when the arrival is
-        # strictly smaller; the global tail is the waiting tail when
-        # the waiting pool is non-empty, else the active tail.
-        lw = len(self._wait_res) - self._wh
-        if self._size:
-            if lw:
-                victim_res = self._wait_res[-1]
-            else:
-                victim_res = self._act_exp[-1] - self._tick
-            if victim_res > work:
-                if lw:
-                    self._wait_res.pop()
-                    victim_port = self._wait_rec.pop()[0]
-                else:
-                    self._act_exp.pop()
-                    victim_port = self._act_rec.pop()[0]
-                metrics.pushed_out += 1
-                metrics.dropped_by_port[victim_port] += 1
-                self._insert(work, port, value)
-                metrics.accepted += 1
-                return
-        metrics.dropped += 1
-        metrics.dropped_by_port[port] += 1
-
-    @hot_path
     def _transmit(self) -> None:
         """One phase: advance the tick, complete, refill from waiting.
 
@@ -363,223 +381,174 @@ class VectorizedSrptSurrogate(_ColumnSurrogate):
                 del wait_rec[:wh]
                 self._wh = 0
 
-    def run_slot(self, arrivals: Sequence[Packet]) -> List[Packet]:
-        """One slot over packet objects; returns ``[]`` (fast mode)."""
-        metrics = self.metrics
-        if self._n_down:
-            port_up = self._port_up
-            dbp = metrics.dropped_by_port
-            for packet in arrivals:
-                metrics.arrived += 1
-                if not port_up[packet.port]:
-                    metrics.dropped += 1
-                    dbp[packet.port] += 1
-                    continue
-                self._admit_fields(packet.port, packet.work, packet.value)
-        else:
-            for packet in arrivals:
-                metrics.arrived += 1
-                self._admit_fields(packet.port, packet.work, packet.value)
-        self._transmit()
-        metrics.record_slot(self.backlog)
-        return []
-
     @hot_path
-    def run_slot_columns(
+    def _arrive(
         self,
         ports: Sequence[int],
         works: Sequence[int],
         values: Sequence[float],
-        arrivals: Optional[Sequence[int]],
         lo: int,
         hi: int,
-    ) -> List[Packet]:
-        """One slot straight from trace columns (span ``[lo, hi)``).
+    ) -> None:
+        """The arrival phase of one slot over the span ``[lo, hi)``.
 
-        While any port is down the span takes the exact per-packet
-        admit loop with the down filter in front: churn slots are rare
-        and the batch filter's full-buffer monotonicity argument does
-        not account for engine-level drops.
+        While the buffer has room every arrival is accepted and placed
+        where the reference's ``insort`` would put it: ``bisect_right``
+        over the active ticks mirrors ``insort`` over the global
+        residual list, and when the key ties across the active/waiting
+        boundary the active-side probe lands past the active tail,
+        deferring to the waiting-side probe — exactly the reference's
+        after-all-equals placement.
 
-        With ndarray columns the congested case is batch-filtered.
-        Once the buffer is full, the eviction threshold (the largest
-        buffered residual) can only *decrease* during a slot's
-        admission phase — an accept replaces the maximum with something
-        strictly smaller, a drop changes nothing — so any arrival whose
-        work is already ``>=`` the threshold at the start of the
-        congested stretch is dead on arrival no matter what happens in
-        between. Those are counted with one vector compare plus a
-        bincount; only the arrivals below the threshold (the ones that
-        can actually displace somebody) run the exact sequential admit.
-        Every counter lands exactly where the per-packet loop puts it.
+        Once the buffer is full it stays full for the rest of the slot
+        (every accept evicts, no completions interleave), and the
+        eviction threshold (the largest buffered residual) can only
+        *decrease* — an accept replaces the maximum with something
+        strictly smaller, a drop changes nothing. So with ndarray
+        columns any arrival whose work is already ``>=`` the threshold
+        at the start of the congested stretch is dead on arrival; those
+        are counted with one vector compare plus a bincount, and only
+        the arrivals below the threshold run the exact loop. List
+        columns run the exact loop on every arrival. Every counter
+        lands exactly where the reference's per-packet loop puts it.
         """
         metrics = self.metrics
-        m = hi - lo
-        metrics.arrived += m
-        if self._n_down:
-            kp = ports[lo:hi]
-            kw = works[lo:hi]
-            kv = values[lo:hi]
-            if np is not None and isinstance(kw, np.ndarray):
+        array = np is not None and isinstance(works, np.ndarray)
+        # The whole slot runs on hoisted pool locals: one attribute
+        # load per slot instead of several per packet.
+        act_exp = self._act_exp
+        act_rec = self._act_rec
+        wait_res = self._wait_res
+        wait_rec = self._wait_rec
+        ah = self._ah
+        wh = self._wh
+        tick = self._tick
+        cores = self.cores
+        insort = bisect_right
+        i = lo
+        free = self.buffer_size - self._size
+        if free > 0:
+            # Room left: the reference accepts unconditionally.
+            stop = hi if hi - lo <= free else lo + free
+            kp = ports[lo:stop]
+            kw = works[lo:stop]
+            kv = values[lo:stop]
+            if array:
                 kp = kp.tolist()
                 kw = kw.tolist()
                 kv = kv.tolist()
-            port_up = self._port_up
-            dbp = metrics.dropped_by_port
             for port, work, value in zip(kp, kw, kv):
-                if not port_up[port]:
-                    metrics.dropped += 1
-                    dbp[port] += 1
-                    continue
-                self._admit_fields(port, work, value)
-        elif m and np is not None and isinstance(works, np.ndarray):
-            # The whole slot runs on hoisted pool locals: one attribute
-            # load per slot instead of several per packet.
-            act_exp = self._act_exp
-            act_rec = self._act_rec
-            wait_res = self._wait_res
-            wait_rec = self._wait_rec
-            ah = self._ah
-            wh = self._wh
-            tick = self._tick
-            cores = self.cores
-            insort = bisect_right
-            i = lo
-            free = self.buffer_size - self._size
-            if free > 0:
-                # Room left: the reference accepts unconditionally.
-                stop = hi if m <= free else lo + free
-                kp = ports[i:stop].tolist()
-                kw = works[i:stop].tolist()
-                kv = values[i:stop].tolist()
-                for port, work, value in zip(kp, kw, kv):
-                    # Same branch structure as ``_insert``, on locals.
-                    key = tick + work
-                    if len(act_exp) - ah < cores:
-                        pos = insort(act_exp, key, ah)
+                key = tick + work
+                if len(act_exp) - ah < cores:
+                    pos = insort(act_exp, key, ah)
+                    act_exp.insert(pos, key)
+                    act_rec.insert(pos, (port, value))
+                else:
+                    pos = insort(act_exp, key, ah)
+                    if pos < len(act_exp):
+                        # Belongs inside the active window: the active
+                        # tail (the largest active residual) demotes to
+                        # the front of the waiting pool.
                         act_exp.insert(pos, key)
                         act_rec.insert(pos, (port, value))
-                    else:
-                        pos = insort(act_exp, key, ah)
-                        if pos < len(act_exp):
-                            act_exp.insert(pos, key)
-                            act_rec.insert(pos, (port, value))
-                            demoted_res = act_exp.pop() - tick
-                            demoted_rec = act_rec.pop()
-                            if wh > 0:
-                                wh -= 1
-                                wait_res[wh] = demoted_res
-                                wait_rec[wh] = demoted_rec
-                            else:
-                                wait_res.insert(0, demoted_res)
-                                wait_rec.insert(0, demoted_rec)
+                        demoted_res = act_exp.pop() - tick
+                        demoted_rec = act_rec.pop()
+                        if wh > 0:
+                            wh -= 1
+                            wait_res[wh] = demoted_res
+                            wait_rec[wh] = demoted_rec
                         else:
-                            wpos = insort(wait_res, work, wh)
-                            wait_res.insert(wpos, work)
-                            wait_rec.insert(wpos, (port, value))
-                metrics.accepted += stop - lo
-                self._size += stop - lo
-                i = stop
-            if i < hi:
-                n_rest = hi - i
-                dbp = metrics.dropped_by_port
-                if self._size:
-                    # Congested stretch: the buffer stays exactly full
-                    # (every accept evicts), no completions interleave,
-                    # so the whole admit/evict state machine runs on
-                    # the hoisted locals with a live threshold.
-                    thr = (
-                        wait_res[-1]
-                        if len(wait_res) - wh
-                        else act_exp[-1] - tick
+                            wait_res.insert(0, demoted_res)
+                            wait_rec.insert(0, demoted_rec)
+                    else:
+                        wpos = insort(wait_res, work, wh)
+                        wait_res.insert(wpos, work)
+                        wait_rec.insert(wpos, (port, value))
+            metrics.accepted += stop - lo
+            self._size += stop - lo
+            i = stop
+        if i < hi:
+            # Congested stretch (B >= 1, so the full buffer is
+            # non-empty): the global tail is the waiting tail when the
+            # waiting pool is non-empty, else the active tail.
+            n_rest = hi - i
+            dbp = metrics.dropped_by_port
+            thr = wait_res[-1] if len(wait_res) - wh else act_exp[-1] - tick
+            if array and n_rest > _BATCH_MIN:
+                w = works[i:hi]
+                keep = w < thr
+                kept = np.flatnonzero(keep)
+                nk = len(kept)
+                if nk < n_rest:
+                    metrics.dropped += n_rest - nk
+                    counts = np.bincount(
+                        ports[i:hi][~keep], minlength=len(dbp)
                     )
-                    if n_rest > _BATCH_MIN:
-                        w = works[i:hi]
-                        keep = w < thr
-                        kept = np.flatnonzero(keep)
-                        nk = len(kept)
-                        if nk < n_rest:
-                            metrics.dropped += n_rest - nk
-                            counts = np.bincount(
-                                ports[i:hi][~keep], minlength=len(dbp)
-                            )
-                            for port in np.flatnonzero(counts).tolist():
-                                dbp[port] += int(counts[port])
-                        if nk:
-                            kp = ports[i:hi][keep].tolist()
-                            kw = w[keep].tolist()
-                            kv = values[i:hi][keep].tolist()
-                        else:
-                            kp = kw = kv = ()
-                    else:
-                        # Small rest: the vector setup costs more than
-                        # it saves; the live-threshold loop below is
-                        # already exact for unfiltered arrivals.
-                        kp = ports[i:hi].tolist()
-                        kw = works[i:hi].tolist()
-                        kv = values[i:hi].tolist()
-                    accepted = 0
-                    dropped = 0
-                    for port, work, value in zip(kp, kw, kv):
-                        if work >= thr:
-                            dropped += 1
-                            dbp[port] += 1
-                            continue
-                        # Evict the buffered maximum (strictly
-                        # larger): waiting tail, else active tail.
-                        if len(wait_res) - wh:
-                            wait_res.pop()
-                            dbp[wait_rec.pop()[0]] += 1
-                        else:
-                            act_exp.pop()
-                            dbp[act_rec.pop()[0]] += 1
-                        accepted += 1
-                        # Insert where the reference insort would
-                        # (same branch structure as ``_insert``).
-                        key = tick + work
-                        if len(act_exp) - ah < cores:
-                            pos = insort(act_exp, key, ah)
-                            act_exp.insert(pos, key)
-                            act_rec.insert(pos, (port, value))
-                        else:
-                            pos = insort(act_exp, key, ah)
-                            if pos < len(act_exp):
-                                act_exp.insert(pos, key)
-                                act_rec.insert(pos, (port, value))
-                                demoted_res = act_exp.pop() - tick
-                                demoted_rec = act_rec.pop()
-                                if wh > 0:
-                                    wh -= 1
-                                    wait_res[wh] = demoted_res
-                                    wait_rec[wh] = demoted_rec
-                                else:
-                                    wait_res.insert(0, demoted_res)
-                                    wait_rec.insert(0, demoted_rec)
-                            else:
-                                wpos = insort(wait_res, work, wh)
-                                wait_res.insert(wpos, work)
-                                wait_rec.insert(wpos, (port, value))
-                        thr = (
-                            wait_res[-1]
-                            if len(wait_res) - wh
-                            else act_exp[-1] - tick
-                        )
-                    metrics.accepted += accepted
-                    metrics.pushed_out += accepted
-                    metrics.dropped += dropped
-                else:
-                    # B == 0: nothing is ever admitted.
-                    metrics.dropped += n_rest
-                    counts = np.bincount(ports[i:hi], minlength=len(dbp))
                     for port in np.flatnonzero(counts).tolist():
                         dbp[port] += int(counts[port])
-            self._wh = wh
-        else:
-            for i in range(lo, hi):
-                self._admit_fields(ports[i], works[i], values[i])
-        self._transmit()
-        metrics.record_slot(self.backlog)
-        return []
+                if nk:
+                    kp = ports[i:hi][keep].tolist()
+                    kw = w[keep].tolist()
+                    kv = values[i:hi][keep].tolist()
+                else:
+                    kp = kw = kv = ()
+            else:
+                kp = ports[i:hi]
+                kw = works[i:hi]
+                kv = values[i:hi]
+                if array:
+                    kp = kp.tolist()
+                    kw = kw.tolist()
+                    kv = kv.tolist()
+            accepted = 0
+            dropped = 0
+            for port, work, value in zip(kp, kw, kv):
+                if work >= thr:
+                    dropped += 1
+                    dbp[port] += 1
+                    continue
+                # Evict the buffered maximum (strictly larger):
+                # waiting tail, else active tail.
+                if len(wait_res) - wh:
+                    wait_res.pop()
+                    dbp[wait_rec.pop()[0]] += 1
+                else:
+                    act_exp.pop()
+                    dbp[act_rec.pop()[0]] += 1
+                accepted += 1
+                # Insert exactly like the free stretch above.
+                key = tick + work
+                if len(act_exp) - ah < cores:
+                    pos = insort(act_exp, key, ah)
+                    act_exp.insert(pos, key)
+                    act_rec.insert(pos, (port, value))
+                else:
+                    pos = insort(act_exp, key, ah)
+                    if pos < len(act_exp):
+                        act_exp.insert(pos, key)
+                        act_rec.insert(pos, (port, value))
+                        demoted_res = act_exp.pop() - tick
+                        demoted_rec = act_rec.pop()
+                        if wh > 0:
+                            wh -= 1
+                            wait_res[wh] = demoted_res
+                            wait_rec[wh] = demoted_rec
+                        else:
+                            wait_res.insert(0, demoted_res)
+                            wait_rec.insert(0, demoted_rec)
+                    else:
+                        wpos = insort(wait_res, work, wh)
+                        wait_res.insert(wpos, work)
+                        wait_rec.insert(wpos, (port, value))
+                thr = (
+                    wait_res[-1]
+                    if len(wait_res) - wh
+                    else act_exp[-1] - tick
+                )
+            metrics.accepted += accepted
+            metrics.pushed_out += accepted
+            metrics.dropped += dropped
+        self._wh = wh
 
 
 class VectorizedMaxValueSurrogate(_ColumnSurrogate):
@@ -625,30 +594,6 @@ class VectorizedMaxValueSurrogate(_ColumnSurrogate):
         return removed
 
     @hot_path
-    def _admit_fields(self, port: int, value: float) -> None:
-        metrics = self.metrics
-        vals = self._vals
-        h = self._h
-        if len(vals) - h < self.buffer_size:
-            pos = bisect_right(vals, value, h)
-            vals.insert(pos, value)
-            self._ports.insert(pos, port)
-            metrics.accepted += 1
-            return
-        if len(vals) - h and vals[h] < value:
-            metrics.pushed_out += 1
-            metrics.dropped_by_port[self._ports[h]] += 1
-            h += 1
-            self._h = h
-            pos = bisect_right(vals, value, h)
-            vals.insert(pos, value)
-            self._ports.insert(pos, port)
-            metrics.accepted += 1
-            return
-        metrics.dropped += 1
-        metrics.dropped_by_port[port] += 1
-
-    @hot_path
     def _transmit(self) -> None:
         vals = self._vals
         ports = self._ports
@@ -671,138 +616,89 @@ class VectorizedMaxValueSurrogate(_ColumnSurrogate):
             del ports[:h]
             self._h = 0
 
-    def run_slot(self, arrivals: Sequence[Packet]) -> List[Packet]:
-        """One slot over packet objects; returns ``[]`` (fast mode)."""
-        metrics = self.metrics
-        if self._n_down:
-            port_up = self._port_up
-            dbp = metrics.dropped_by_port
-            for packet in arrivals:
-                metrics.arrived += 1
-                if not port_up[packet.port]:
-                    metrics.dropped += 1
-                    dbp[packet.port] += 1
-                    continue
-                self._admit_fields(packet.port, packet.value)
-        else:
-            for packet in arrivals:
-                metrics.arrived += 1
-                self._admit_fields(packet.port, packet.value)
-        self._transmit()
-        metrics.record_slot(self.backlog)
-        return []
-
     @hot_path
-    def run_slot_columns(
+    def _arrive(
         self,
         ports: Sequence[int],
         works: Sequence[int],
         values: Sequence[float],
-        arrivals: Optional[Sequence[int]],
         lo: int,
         hi: int,
-    ) -> List[Packet]:
-        """One slot straight from trace columns (span ``[lo, hi)``).
+    ) -> None:
+        """The arrival phase of one slot over the span ``[lo, hi)``.
 
-        Mirror image of the SRPT batch filter: once the buffer is full
-        the eviction threshold (the *smallest* buffered value) can only
-        *increase* during a slot's admission phase, so any arrival
-        whose value is already ``<=`` the threshold at the start of the
-        congested stretch is dead on arrival. See
-        :meth:`VectorizedSrptSurrogate.run_slot_columns`.
+        Mirror image of :meth:`VectorizedSrptSurrogate._arrive`: once
+        the buffer is full the eviction threshold (the *smallest*
+        buffered value, the live head) can only *increase* during the
+        slot, so with ndarray columns any arrival whose value is
+        already ``<=`` the threshold at the start of the congested
+        stretch is dead on arrival.
         """
         metrics = self.metrics
-        m = hi - lo
-        metrics.arrived += m
-        if self._n_down:
-            # Churn fallback: see the SRPT twin.
-            kp = ports[lo:hi]
-            kv = values[lo:hi]
-            if np is not None and isinstance(kv, np.ndarray):
+        array = np is not None and isinstance(values, np.ndarray)
+        vals = self._vals
+        port_col = self._ports
+        h = self._h
+        insort = bisect_right
+        i = lo
+        free = self.buffer_size - (len(vals) - h)
+        if free > 0:
+            stop = hi if hi - lo <= free else lo + free
+            kp = ports[lo:stop]
+            kv = values[lo:stop]
+            if array:
                 kp = kp.tolist()
                 kv = kv.tolist()
-            port_up = self._port_up
-            dbp = metrics.dropped_by_port
             for port, value in zip(kp, kv):
-                if not port_up[port]:
-                    metrics.dropped += 1
-                    dbp[port] += 1
-                    continue
-                self._admit_fields(port, value)
-        elif m and np is not None and isinstance(values, np.ndarray):
-            i = lo
-            vals = self._vals
-            port_col = self._ports
-            h = self._h
-            free = self.buffer_size - (len(vals) - h)
-            insort = bisect_right
-            if free > 0:
-                stop = hi if m <= free else lo + free
-                kp = ports[i:stop].tolist()
-                kv = values[i:stop].tolist()
-                for port, value in zip(kp, kv):
-                    pos = insort(vals, value, h)
-                    vals.insert(pos, value)
-                    port_col.insert(pos, port)
-                metrics.accepted += stop - lo
-                i = stop
-            if i < hi:
-                n_rest = hi - i
-                dbp = metrics.dropped_by_port
-                if len(vals) - h:
-                    # Congested stretch, mirrored from the SRPT path:
-                    # the buffer stays full, the head (the eviction
-                    # threshold) only moves up, everything runs on
-                    # hoisted locals.
-                    thr = vals[h]
-                    if n_rest > _BATCH_MIN:
-                        v = values[i:hi]
-                        keep = v > thr
-                        kept = np.flatnonzero(keep)
-                        nk = len(kept)
-                        if nk < n_rest:
-                            metrics.dropped += n_rest - nk
-                            counts = np.bincount(
-                                ports[i:hi][~keep], minlength=len(dbp)
-                            )
-                            for port in np.flatnonzero(counts).tolist():
-                                dbp[port] += int(counts[port])
-                        if nk:
-                            kp = ports[i:hi][keep].tolist()
-                            kv = v[keep].tolist()
-                        else:
-                            kp = kv = ()
-                    else:
-                        # Small rest: see the SRPT twin.
-                        kp = ports[i:hi].tolist()
-                        kv = values[i:hi].tolist()
-                    accepted = 0
-                    dropped = 0
-                    for port, value in zip(kp, kv):
-                        if value <= thr:
-                            dropped += 1
-                            dbp[port] += 1
-                            continue
-                        dbp[port_col[h]] += 1
-                        h += 1
-                        pos = insort(vals, value, h)
-                        vals.insert(pos, value)
-                        port_col.insert(pos, port)
-                        accepted += 1
-                        thr = vals[h]
-                    metrics.accepted += accepted
-                    metrics.pushed_out += accepted
-                    metrics.dropped += dropped
-                    self._h = h
-                else:
-                    # B == 0: nothing is ever admitted.
-                    metrics.dropped += n_rest
-                    counts = np.bincount(ports[i:hi], minlength=len(dbp))
+                pos = insort(vals, value, h)
+                vals.insert(pos, value)
+                port_col.insert(pos, port)
+            metrics.accepted += stop - lo
+            i = stop
+        if i < hi:
+            # Congested stretch, mirrored from the SRPT body: the
+            # buffer stays full and the head only moves up.
+            n_rest = hi - i
+            dbp = metrics.dropped_by_port
+            thr = vals[h]
+            if array and n_rest > _BATCH_MIN:
+                v = values[i:hi]
+                keep = v > thr
+                kept = np.flatnonzero(keep)
+                nk = len(kept)
+                if nk < n_rest:
+                    metrics.dropped += n_rest - nk
+                    counts = np.bincount(
+                        ports[i:hi][~keep], minlength=len(dbp)
+                    )
                     for port in np.flatnonzero(counts).tolist():
                         dbp[port] += int(counts[port])
-        else:
-            for i in range(lo, hi):
-                self._admit_fields(ports[i], values[i])
-        self._transmit()
-        metrics.record_slot(self.backlog)
-        return []
+                if nk:
+                    kp = ports[i:hi][keep].tolist()
+                    kv = v[keep].tolist()
+                else:
+                    kp = kv = ()
+            else:
+                kp = ports[i:hi]
+                kv = values[i:hi]
+                if array:
+                    kp = kp.tolist()
+                    kv = kv.tolist()
+            accepted = 0
+            dropped = 0
+            for port, value in zip(kp, kv):
+                if value <= thr:
+                    dropped += 1
+                    dbp[port] += 1
+                    continue
+                dbp[port_col[h]] += 1
+                h += 1
+                pos = insort(vals, value, h)
+                vals.insert(pos, value)
+                port_col.insert(pos, port)
+                accepted += 1
+                thr = vals[h]
+            metrics.accepted += accepted
+            metrics.pushed_out += accepted
+            metrics.dropped += dropped
+            self._h = h

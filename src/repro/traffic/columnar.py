@@ -12,10 +12,11 @@ The canonical column representation is plain Python lists — the one
 buffer type both column backends share and the fastest thing the
 ingestion loops (:meth:`repro.core.columnar.VectorizedSwitch.
 run_slot_columns`, the vectorized OPT surrogates) can index packet by
-packet. The :mod:`repro.core.columns` backend seam is used where arrays
-pay: the batched numpy sampling inside the generators below, and the
-typed int64/float64 buffers of :meth:`as_columns` that the on-disk trace
-store serializes.
+packet. Arrays are used where they pay: the batched numpy sampling
+inside the generators below, and the cached int64/float64 view of
+:meth:`ColumnarTrace.array_columns` that the vectorized OPT surrogates
+batch over (unless :mod:`repro.core.columns` selects the pure-python
+backend).
 
 **One generator per recipe.** Each traffic recipe — MMPP processing,
 MMPP value-uniform, MMPP value-port, Poisson and saturating — has
@@ -320,22 +321,6 @@ class ColumnarTrace:
             )
             self._arrays = cached
         return cached
-
-    def as_columns(self) -> Dict[str, Any]:
-        """Typed int64/float64 backend columns (artifact serialization)."""
-        from repro.core import columns
-
-        out: Dict[str, Any] = {
-            "offsets": columns.int_column_from(self.offsets),
-            "ports": columns.int_column_from(self.ports),
-            "works": columns.int_column_from(self.works),
-            "values": columns.float_column_from(self.values),
-        }
-        if self.opts is not None:
-            out["opts"] = columns.int_column_from(self.opts)
-        if self.arrivals is not None:
-            out["arrivals"] = columns.int_column_from(self.arrivals)
-        return out
 
     # ------------------------------------------------------------------
     # Inspection / validation (Trace-compatible)

@@ -138,3 +138,43 @@ class TestUnwritableOrMissingPaths:
         ) == 2
         self._assert_one_error_line(capsys)
         assert not out.exists()
+
+    @staticmethod
+    def _blocker(tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        return blocker
+
+    def test_run_unwritable_out_is_one_error_line(self, capsys, tmp_path):
+        out = self._blocker(tmp_path) / "fig5-1.csv"
+        assert main(
+            ["run", "fig5-1", "--slots", "20", "--seeds", "0",
+             "--no-cache", "--out", str(out)]
+        ) == 2
+        self._assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_trace_unwritable_out_is_one_error_line(self, capsys, tmp_path):
+        out = self._blocker(tmp_path) / "trace.jsonl"
+        assert main(
+            ["trace", "--scenario", "uniform-proc-small",
+             "--slots-scale", "0.01", "--out", str(out)]
+        ) == 2
+        self._assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_bench_unwritable_out_dir_is_one_error_line(
+        self, capsys, tmp_path
+    ):
+        out_dir = self._blocker(tmp_path) / "reports"
+        assert main(
+            ["bench", "--panels", "uniform-proc-small",
+             "--slots-scale", "0.01", "--out-dir", str(out_dir)]
+        ) == 2
+        captured = capsys.readouterr()
+        # The panel's progress line precedes the failed write.
+        lines = captured.err.strip().splitlines()
+        assert lines[-1].startswith("error:")
+        assert sum(line.startswith("error:") for line in lines) == 1
+        assert "Traceback" not in captured.err
+        assert not out_dir.exists()

@@ -1,4 +1,4 @@
-"""Columnar-engine state audits: self-checks, backends, wide path.
+"""Columnar-engine state audits: self-checks, backends, wide switches.
 
 The vectorized engine keeps two representations of the same buffer —
 flat per-port columns for the hot path and per-packet record stores as
@@ -9,11 +9,10 @@ derived kernel structures and the transmission calendar), and
 audit has teeth: a deliberately corrupted column must be caught, from a
 direct call and from the periodic driver alike.
 
-The suite also pins the engine's backend seams: the pure-``array``
-fallback (``REPRO_VECTOR_BACKEND=python``) must be decision-identical
-to numpy columns, and the wide-switch whole-array transmission path
-(``n >= ARRAY_TRANSMIT_MIN_PORTS``) must be decision-identical to the
-narrow expiry-calendar path.
+The suite also pins the engine's backend seam — a forced pure-python
+backend (``REPRO_VECTOR_BACKEND=python``) must be decision-identical to
+the reference — and runs a switch wider than any Fig. 5 panel through
+the expiry-calendar transmission path against the reference.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import pytest
 
 from repro.analysis.competitive import PolicySystem, run_system
 from repro.core import columns as columns_mod
-from repro.core.columnar import ARRAY_TRANSMIT_MIN_PORTS, VectorizedSwitch
+from repro.core.columnar import VectorizedSwitch
 from repro.core.config import SwitchConfig
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
@@ -110,10 +109,9 @@ def test_corrupt_active_set_caught():
 
 
 def test_corrupt_transmission_calendar_caught():
-    # Narrow switches track head completion on an expiry-tick calendar;
+    # Single-core FIFO heads complete on an expiry-tick calendar;
     # moving a head's expiry off its scheduled bucket must be caught.
     switch = _warm_switch()
-    assert switch._sched is not None, "narrow switch should use calendar"
     port = max(range(4), key=lambda p: switch._lens[p])
     switch._hexp[port] += 1
     with pytest.raises(AssertionError):
@@ -260,21 +258,16 @@ def test_backend_env_validation(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Wide switches: the whole-array transmission path
+# Transmission calendar: narrow and wide switches
 # ----------------------------------------------------------------------
 
 
-def test_wide_switch_uses_array_path_and_matches_reference():
-    if columns_mod.backend() != "numpy":
-        pytest.skip("wide path requires the numpy backend")
-    n = ARRAY_TRANSMIT_MIN_PORTS + 2
+def test_wide_switch_on_calendar_matches_reference():
+    n = 130
     config = SwitchConfig.from_works(
         [1 + (p % 3) for p in range(n)], buffer_size=2 * n
     )
     switch = VectorizedSwitch(config)
-    assert switch._sched is None and switch._hr is not None, (
-        "switch this wide should take the whole-array transmission path"
-    )
     trace = _congested_trace(config, 30, seed=31, per_slot=3 * n)
     ref = SharedMemorySwitch(config, fast_path=True)
     policy_vec, policy_ref = make_policy("LQD"), make_policy("LQD")
@@ -288,4 +281,7 @@ def test_wide_switch_uses_array_path_and_matches_reference():
 def test_narrow_switch_uses_calendar():
     config = SwitchConfig.contiguous(8, 32)
     switch = VectorizedSwitch(config)
-    assert switch._sched is not None and switch._hr is None
+    work = config.work_of(2)
+    switch.run_slot([Packet(port=2, work=work)], make_policy("LQD"))
+    assert switch._sched[switch._hexp[2]] == [2]
+    assert switch._head_residual(2) == work - 1

@@ -508,7 +508,10 @@ def test_lqd_port_up_while_shared_pool_over_committed(engine):
     may only use a reserved slot that is physically free: the second
     one pushes out port 1's tail, the third (port 0 now the longest
     queue) is dropped. Found by the dynamic Hypothesis differential;
-    every engine used to raise PolicyError on the third arrival."""
+    every engine used to raise PolicyError on the third arrival. The
+    self-check runs after every port event and every slot: the shared
+    occupancy exceeds the pool plus the down reservations right after
+    the port-up, and the invariant must still hold there."""
     config = _dynamic_config(2, 4, "uneven")
     bursts = [[], [], [], [], [1, 1, 1, 1], [0, 0, 0]]
     toggles = [[], [], [], [], [0], [0]]
@@ -517,12 +520,13 @@ def test_lqd_port_up_while_shared_pool_over_committed(engine):
     for slot, events in enumerate(_dynamic_events(2, toggles)):
         for port, up in events:
             switch.set_port_state(port, up)
+            switch.check_invariants()
         switch.run_slot(
             [Packet(port=p, work=1, arrival_slot=slot) for p in bursts[slot]],
             policy,
         )
         assert switch.occupancy <= config.buffer_size
-    switch.check_invariants()
+        switch.check_invariants()
     metrics = switch.metrics
     assert (metrics.arrived, metrics.accepted) == (7, 6)
     assert (metrics.dropped, metrics.pushed_out) == (1, 1)

@@ -7,7 +7,9 @@ included), completion count, per-port split, and the float accumulation
 order of ``transmitted_value``. Hypothesis drives both through the same
 arrival streams across burst sizes straddling the ``_BATCH_MIN``
 vector-filter cutoff, congested and uncongested regimes, mid-run
-flushes, and both ingestion shapes (ndarray columns and plain lists).
+flushes, port churn (ports going down and up between slots), and all
+three entry points (ndarray columns, plain-list columns and ``Packet``
+bursts), which share one arrival body per surrogate.
 Engineered regressions pin the exact-tie eviction semantics the batch
 filter depends on: an SRPT arrival whose work *equals* the threshold
 and a MaxValue arrival whose value *equals* the threshold are both
@@ -39,6 +41,8 @@ from repro.opt.vectorized import (
 
 #: (port, work, value) triples per slot.
 Burst = List[Tuple[int, int, float]]
+#: (port, up) port-state events applied at the start of a slot.
+Events = List[Tuple[int, bool]]
 
 
 def _snapshot(system) -> dict:
@@ -56,8 +60,15 @@ def _drive_pair(
     *,
     flush_every: int = 0,
     columns: str = "array",
+    events: Sequence[Events] = (),
 ) -> None:
-    """Run reference and vectorized side by side, asserting lock-step."""
+    """Run reference and vectorized side by side, asserting lock-step.
+
+    ``columns`` picks the vectorized entry point: ``"array"`` (ndarray
+    columns), ``"list"`` (plain-list columns) or ``"packets"``
+    (``run_slot`` on ``Packet`` bursts). ``events[slot]`` is applied to
+    both systems before that slot's arrivals.
+    """
     ref = make_surrogate(config, by_value=by_value, engine="reference")
     vec = make_surrogate(config, by_value=by_value, engine="vectorized")
     expected = (
@@ -86,22 +97,43 @@ def _drive_pair(
         col_ports, col_works, col_values = ports, works, values
 
     for slot, (lo, hi) in enumerate(spans):
-        ref.run_slot(
-            [
-                Packet(
-                    port=ports[j],
-                    work=works[j],
-                    value=values[j],
-                    arrival_slot=slot,
-                )
-                for j in range(lo, hi)
-            ]
-        )
-        vec.run_slot_columns(col_ports, col_works, col_values, None, lo, hi)
+        for port, up in events[slot] if slot < len(events) else ():
+            assert vec.set_port_state(port, up) == ref.set_port_state(
+                port, up
+            )
+        burst = [
+            Packet(
+                port=ports[j],
+                work=works[j],
+                value=values[j],
+                arrival_slot=slot,
+            )
+            for j in range(lo, hi)
+        ]
+        ref.run_slot(burst)
+        if columns == "packets":
+            vec.run_slot(burst)
+        else:
+            vec.run_slot_columns(
+                col_ports, col_works, col_values, None, lo, hi
+            )
         assert vec.backlog == ref.backlog, f"backlog diverged at slot {slot}"
         if flush_every and (slot + 1) % flush_every == 0:
             assert vec.flush() == ref.flush()
     assert _snapshot(vec) == _snapshot(ref)
+
+
+def _toggle_events(n_ports: int, toggles: Sequence[Sequence[int]]):
+    """Per-slot port toggles as valid (port, up) event lists."""
+    port_up = [True] * n_ports
+    events: List[Events] = []
+    for slot_toggles in toggles:
+        slot_events: Events = []
+        for port in slot_toggles:
+            port_up[port] = not port_up[port]
+            slot_events.append((port, port_up[port]))
+        events.append(slot_events)
+    return events
 
 
 @st.composite
@@ -133,32 +165,80 @@ def _cases(draw):
         ]
         bursts.append(burst)
     flush_every = draw(st.sampled_from([0, 0, 0, 3]))
-    return config, bursts, flush_every
+    # Ports to toggle down/up at the start of each slot (often none).
+    toggles = draw(
+        st.lists(
+            st.lists(st.integers(0, n_ports - 1), max_size=2, unique=True),
+            min_size=n_slots,
+            max_size=n_slots,
+        )
+    )
+    return config, bursts, flush_every, _toggle_events(n_ports, toggles)
 
 
 class TestDifferential:
     @settings(max_examples=30, deadline=None)
     @given(case=_cases())
     def test_srpt_matches_reference(self, case):
-        config, bursts, flush_every = case
-        _drive_pair(False, config, bursts, flush_every=flush_every)
+        config, bursts, flush_every, events = case
+        _drive_pair(
+            False, config, bursts, flush_every=flush_every, events=events
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(case=_cases())
     def test_maxvalue_matches_reference(self, case):
-        config, bursts, flush_every = case
-        _drive_pair(True, config, bursts, flush_every=flush_every)
+        config, bursts, flush_every, events = case
+        _drive_pair(
+            True, config, bursts, flush_every=flush_every, events=events
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(case=_cases())
     def test_list_columns_match_reference(self, case):
-        config, bursts, flush_every = case
-        _drive_pair(
-            False, config, bursts, flush_every=flush_every, columns="list"
-        )
-        _drive_pair(
-            True, config, bursts, flush_every=flush_every, columns="list"
-        )
+        config, bursts, flush_every, events = case
+        for by_value in (False, True):
+            _drive_pair(
+                by_value,
+                config,
+                bursts,
+                flush_every=flush_every,
+                columns="list",
+                events=events,
+            )
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=_cases())
+    def test_packet_bursts_match_reference(self, case):
+        config, bursts, flush_every, events = case
+        for by_value in (False, True):
+            _drive_pair(
+                by_value,
+                config,
+                bursts,
+                flush_every=flush_every,
+                columns="packets",
+                events=events,
+            )
+
+
+class TestChurn:
+    @pytest.mark.parametrize("columns", ["array", "list", "packets"])
+    @pytest.mark.parametrize("by_value", [False, True])
+    def test_port_down_drops_and_reclaims(self, by_value, columns):
+        # Slot 0 fills the buffer from both ports; port 0 goes down at
+        # slot 1 (its buffered packets are reclaimed, its arrivals in
+        # a congested burst longer than the vector-filter cutoff are
+        # dropped) and comes back up at slot 2.
+        config = SwitchConfig.from_works([2, 3], buffer_size=6)
+        mixed = [(j % 2, 2 + j % 2, float(1 + j % 3)) for j in range(12)]
+        bursts: List[Burst] = [
+            mixed,
+            [(j % 2, 2 + j % 2, float(4 - j % 3)) for j in range(40)],
+            mixed,
+        ]
+        events: List[Events] = [[], [(0, False)], [(0, True)]]
+        _drive_pair(by_value, config, bursts, columns=columns, events=events)
 
 
 class TestBatchCutoff:

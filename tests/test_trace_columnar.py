@@ -12,11 +12,10 @@ Three contracts are pinned here (see docs/PIPELINE.md):
   the packet stream its retired object twin produced, pinned by trace
   digest at fixed parameters, and a bench panel's object and columnar
   traces carry the same packets.
-* **Reuse is not identity** — a :class:`TraceStore` round-trips traces
-  exactly through its memo and on-disk artifact tiers, degrades every
-  corruption to a rebuild, and a sweep with reuse enabled produces
-  byte-identical results to the same sweep without it, serial and
-  parallel.
+* **Reuse is not identity** — a :class:`TraceStore` builds each key
+  once while it stays in its bounded memo, and a sweep with reuse
+  enabled produces byte-identical results to the same sweep without
+  it, serial and parallel.
 """
 
 from __future__ import annotations
@@ -296,42 +295,6 @@ class TestTraceStore:
         assert len(calls) == 1
         assert store.builds == 1 and store.memo_hits == 1
 
-    def test_disk_artifact_round_trip(self, tmp_path):
-        from repro.analysis.tracestore import TraceStore
-
-        built = TraceStore(tmp_path).get_or_build("k2", _small_trace)
-        fresh = TraceStore(tmp_path)
-        loaded = fresh.get_or_build(
-            "k2", lambda: pytest.fail("should load from disk")
-        )
-        assert fresh.disk_hits == 1
-        assert trace_digest(loaded) == trace_digest(built)
-        _assert_same_trace(loaded.to_trace(), built.to_trace())
-
-    def test_corrupt_artifact_degrades_to_rebuild(self, tmp_path):
-        from repro.analysis.tracestore import TraceStore
-
-        TraceStore(tmp_path).get_or_build("k3", _small_trace)
-        (artifact,) = tmp_path.glob("*.cols")
-        blob = bytearray(artifact.read_bytes())
-        blob[-1] ^= 0xFF  # flip one payload byte: checksum must catch it
-        artifact.write_bytes(bytes(blob))
-        fresh = TraceStore(tmp_path)
-        rebuilt = fresh.get_or_build("k3", _small_trace)
-        assert fresh.disk_hits == 0 and fresh.builds == 1
-        assert trace_digest(rebuilt) == trace_digest(_small_trace())
-
-    def test_wrong_key_in_artifact_is_a_miss(self, tmp_path):
-        from repro.analysis import tracestore as ts
-
-        ts.TraceStore(tmp_path).get_or_build("k4", _small_trace)
-        (artifact,) = tmp_path.glob("*.cols")
-        # Simulate a hash-prefix collision: same file name, other key.
-        artifact.rename(tmp_path / ts._artifact_name("other"))
-        fresh = ts.TraceStore(tmp_path)
-        fresh.get_or_build("other", _small_trace)
-        assert fresh.disk_hits == 0 and fresh.builds == 1
-
     def test_empty_key_rejected(self):
         from repro.analysis.tracestore import TraceStore
 
@@ -363,7 +326,7 @@ class TestTraceStore:
 @needs_numpy
 class TestSweepReuseIdentity:
     @staticmethod
-    def _sweep(jobs=None, with_store=False, store_dir=None):
+    def _sweep(jobs=None, with_store=False):
         from repro.analysis.sweep import run_sweep
         from repro.analysis.tracestore import TraceStore
         from repro.traffic.columnar import columnar_processing_workload
@@ -373,7 +336,7 @@ class TestSweepReuseIdentity:
 
         kwargs = {}
         if with_store:
-            kwargs["trace_store"] = TraceStore(store_dir)
+            kwargs["trace_store"] = TraceStore()
             kwargs["trace_key"] = trace_key
         return run_sweep(
             name="reuse",
@@ -393,14 +356,12 @@ class TestSweepReuseIdentity:
             **kwargs,
         )
 
-    def test_serial_reuse_identity(self, tmp_path):
+    def test_serial_reuse_identity(self):
         plain = self._sweep()
-        reused = self._sweep(with_store=True, store_dir=tmp_path)
+        reused = self._sweep(with_store=True)
         assert plain.points == reused.points
 
-    def test_parallel_reuse_identity(self, tmp_path):
+    def test_parallel_reuse_identity(self):
         plain = self._sweep()
-        reused = self._sweep(
-            jobs=2, with_store=True, store_dir=tmp_path
-        )
+        reused = self._sweep(jobs=2, with_store=True)
         assert plain.points == reused.points
