@@ -34,10 +34,11 @@ from repro.traffic.trace import Trace
 AnyTrace = Union[Trace, ColumnarTrace]
 
 
-#: Engine identifiers accepted by the ``engine=`` seam. ``reference``
-#: is the per-packet object engine (the oracle); ``vectorized`` is the
-#: columnar batch-slot engine of :mod:`repro.core.columnar`, decision-
-#: identical by contract (see docs/VECTORIZED.md).
+#: Engine identifiers accepted by the ``engine=`` seam. ``vectorized``
+#: (the default) is the columnar batch-slot engine of
+#: :mod:`repro.core.columnar`; ``reference`` is the per-packet object
+#: engine with the policies' naive selectors, the oracle it is
+#: decision-identical to by contract (see docs/VECTORIZED.md).
 ENGINES = ("reference", "vectorized")
 
 
@@ -48,11 +49,10 @@ class PolicySystem:
     System` interface shared with the OPT surrogates, so the runner can
     treat every contender uniformly.
 
-    ``engine`` selects the simulation engine: ``"reference"`` (the
-    per-packet oracle; ``fast_path`` picks its selector mode) or
-    ``"vectorized"`` (the columnar batch-slot engine, where
-    ``fast_path`` is ignored — victim selection is always the kernel
-    or the policy's naive selector over the columnar view).
+    ``engine`` selects the simulation engine: ``"vectorized"`` (the
+    default columnar batch-slot engine: victim selection is a kernel or
+    the policy's selector over the columnar view) or ``"reference"``
+    (the per-packet oracle the differential tests compare against).
     """
 
     def __init__(
@@ -60,9 +60,8 @@ class PolicySystem:
         config: SwitchConfig,
         policy: AdmissionPolicy,
         *,
-        fast_path: bool = True,
         observer: Optional[SlotObserver] = None,
-        engine: str = "reference",
+        engine: str = "vectorized",
     ) -> None:
         if engine == "vectorized":
             from repro.core.columnar import VectorizedSwitch
@@ -71,9 +70,7 @@ class PolicySystem:
                 SharedMemorySwitch, VectorizedSwitch
             ] = VectorizedSwitch(config, observer=observer)
         elif engine == "reference":
-            self.switch = SharedMemorySwitch(
-                config, fast_path=fast_path, observer=observer
-            )
+            self.switch = SharedMemorySwitch(config, observer=observer)
         else:
             raise ConfigError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
@@ -340,7 +337,7 @@ def measure_competitive_ratio(
     flush_every: Optional[int] = None,
     drain: bool = False,
     registry=None,
-    engine: str = "reference",
+    engine: str = "vectorized",
 ) -> CompetitiveResult:
     """Replay ``trace`` through ``policy`` and an OPT reference.
 
@@ -371,10 +368,10 @@ def measure_competitive_ratio(
         the OPT replay to ``opt_run`` — the split the sweep engine
         surfaces through :class:`~repro.analysis.sweep.SweepStats`.
     engine:
-        Simulation engine (``"reference"`` or ``"vectorized"``) for the
-        ALG side *and* the OPT-PQ surrogate (which has an array-backed
-        variant with the same decisions). The scripted replay stays on
-        the reference engine. Decision parity between engines means the
+        Simulation engine (``"vectorized"``, the default, or the
+        ``"reference"`` oracle) for the ALG side, the OPT-PQ surrogate
+        (whose array-backed variant has the same decisions) and the
+        scripted replay. Decision parity between engines means the
         measured ratio is engine-independent by contract, so ``engine``
         is deliberately excluded from cache keys and journal identity.
     """
@@ -388,7 +385,9 @@ def measure_competitive_ratio(
             )
             opt_name = "OPT-PQ"
         elif opt == "scripted":
-            opt_system = PolicySystem(config, ScriptedPolicy())
+            opt_system = PolicySystem(
+                config, ScriptedPolicy(), engine=engine
+            )
             opt_name = "Scripted-OPT"
         else:
             raise ConfigError(f"unknown OPT reference {opt!r}")

@@ -299,7 +299,7 @@ class _CellContext:
     #: decision-identical by contract (docs/VECTORIZED.md), so a cached
     #: reference measurement is a valid vectorized measurement and
     #: vice versa.
-    engine: str = "reference"
+    engine: str = "vectorized"
     #: Optional cross-cell trace reuse (docs/PIPELINE.md). Like the
     #: engine, reuse is pure execution mechanics — it changes *when* a
     #: trace is generated, never *what* it contains — so neither field
@@ -602,7 +602,7 @@ def run_sweep(
     resilience: Optional[SupervisorOptions] = None,
     journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
-    engine: str = "reference",
+    engine: str = "vectorized",
     trace_store: Optional[TraceStore] = None,
     trace_key: Optional[TraceKeyFn] = None,
     farm: Optional["FarmOptions"] = None,
@@ -653,7 +653,7 @@ def run_sweep(
         so a chaos run's output is byte-identical to a clean run's.
     engine:
         Simulation engine for the ALG side of every cell
-        (``"reference"`` or ``"vectorized"``; see
+        (``"vectorized"``, the default, or the ``"reference"`` oracle; see
         :data:`repro.analysis.competitive.ENGINES`). Excluded from the
         cache key and the journal identity on purpose: the engines are
         decision-identical by contract, so measurements interchange —

@@ -417,20 +417,28 @@ def _environment() -> Dict[str, object]:
     }
 
 
+#: ``repro bench --mode`` values and the engine each one times.
+_MODE_ENGINES: Dict[str, str] = {
+    "vectorized": "vectorized",
+    "naive": "reference",
+}
+
+
 def run_panel_bench(
     panel: BenchPanel,
     *,
-    mode: str = "fast",
+    mode: str = "vectorized",
     slots_scale: float = 1.0,
 ) -> PanelResult:
     """Time every pinned policy of one panel over its pinned trace.
 
     Trace generation is excluded from the timed region; the timer wraps
     exactly the slot loop (:func:`repro.analysis.competitive.run_system`)
-    — the quantity the fast-path work optimizes. The ``vectorized``
-    mode replays the panel's columnar trace, the engine's production
-    input; the reference modes replay the object trace. Both carry the
-    same packets.
+    — the quantity the engine work optimizes. The ``vectorized`` mode
+    (the default engine) replays the panel's columnar trace, its
+    production input; the ``naive`` mode runs the reference engine (the
+    oracle, with the policies' O(n) selectors) over the object trace.
+    Both carry the same packets.
     """
     if mode == "vectorized":
         trace = panel.columnar_trace(slots_scale)
@@ -458,31 +466,22 @@ def run_panel_bench(
 
 
 def _make_system(config: SwitchConfig, policy, mode: str) -> PolicySystem:
-    """Build the simulated system in one of the benchmarkable modes.
-
-    ``fast``/``naive`` pick the reference engine's selector mode
-    (``naive`` is the O(n)-scan oracle); ``vectorized`` picks the
-    columnar batch-slot engine. On engines that predate the fast path
-    (the seed baseline) the keywords do not exist and the only mode is
-    the naive one.
-    """
-    if mode == "vectorized":
-        return PolicySystem(config, policy, engine="vectorized")
-    if mode not in ("fast", "naive"):
+    """Build the simulated system in one of the benchmarkable modes:
+    ``vectorized`` is the columnar batch-slot engine, ``naive`` the
+    reference engine with the policies' O(n) selectors."""
+    engine = _MODE_ENGINES.get(mode)
+    if engine is None:
         raise ConfigError(
-            f"bench mode must be fast|naive|vectorized, got {mode!r}"
+            f"bench mode must be naive|vectorized, got {mode!r}"
         )
-    try:
-        return PolicySystem(config, policy, fast_path=(mode == "fast"))
-    except TypeError:
-        return PolicySystem(config, policy)
+    return PolicySystem(config, policy, engine=engine)
 
 
 def run_bench(
     panels: Sequence[BenchPanel],
     *,
     tag: str = "local",
-    mode: str = "fast",
+    mode: str = "vectorized",
     slots_scale: float = 1.0,
     repeats: int = 1,
     progress=None,
@@ -723,7 +722,8 @@ def run_obs_bench(
     """Measure JSONL-recording overhead per panel (reported, not gated).
 
     For each panel the *first* pinned policy is run twice over the same
-    trace: once with the observer slot empty (the fenced configuration)
+    trace on the reference engine (the engine ``repro trace`` records
+    on): once with the observer slot empty (the fenced configuration)
     and once streaming the full event trace to a temporary JSONL file
     through :class:`~repro.obs.trace_io.JsonlTraceWriter`. The report
     records both rates plus the relative overhead and the trace size —
@@ -740,7 +740,7 @@ def run_obs_bench(
         "schema": SCHEMA_VERSION,
         "kind": "observer-overhead",
         "tag": tag,
-        "mode": "fast",
+        "mode": "naive",
         "slots_scale": slots_scale,
         "created": datetime.now(timezone.utc).isoformat(),
         "environment": _environment(),
@@ -754,7 +754,10 @@ def run_obs_bench(
 
         def timed_run(observer) -> Tuple[float, float]:
             system = PolicySystem(
-                config, make_policy(policy_name), observer=observer
+                config,
+                make_policy(policy_name),
+                observer=observer,
+                engine="reference",
             )
             started = time.perf_counter()
             metrics = run_system(system, trace)
@@ -927,8 +930,8 @@ def compare_speedup(
 
     The vectorized-engine acceptance gate: ``current`` (a vectorized
     report) must be at least ``min_speedup * (1 - tolerance)`` times the
-    ``baseline`` (the committed fast-path report) on every selected
-    panel. The tolerance term is the same 25%-fence style as
+    ``baseline`` (a naive-mode report from the same runner) on every
+    selected panel. The tolerance term is the same 25%-fence style as
     :func:`compare_reports` — committed baselines were recorded on
     different hardware, so an exact multiplier would gate on machine
     identity rather than on the engine.

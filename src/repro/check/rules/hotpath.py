@@ -1,7 +1,7 @@
-"""Hot-path allocation audit (RC2xx): keep the fast path lean.
+"""Hot-path allocation audit (RC2xx): keep the hot paths lean.
 
-PR 2's fast path earns its ~9x by *not allocating*: victim selection is
-a tuple read off an incremental ordering, ``fresh_copy`` skips
+The engines earn their speed by *not allocating*: the vectorized
+kernels update flat per-port columns in place, ``fresh_copy`` skips
 ``__init__``, and the transmission phase walks a cached active set.
 Those wins erode one innocent-looking allocation at a time — a closure
 captured per call, a comprehension temporary per loop iteration, an

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.competitive import run_scenario
@@ -139,6 +140,16 @@ def _farm_options(args: argparse.Namespace):
     return options
 
 
+def _prepare_output_dir(directory: Path | str) -> None:
+    """Create an output directory before any cell runs.
+
+    An unusable path (a regular file where a directory is needed, no
+    permission) then fails at once through ``main``'s ``OSError``
+    handler, instead of after a whole sweep, report or bench.
+    """
+    Path(directory).mkdir(parents=True, exist_ok=True)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.resilience import (
         FaultInjector,
@@ -172,6 +183,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.out:
+        _prepare_output_dir(Path(args.out).parent)
 
     progress = None
     if args.progress:
@@ -313,6 +326,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """Generate the full reproduction report."""
     from repro.experiments.report import ReportOptions, write_report
 
+    _prepare_output_dir(Path(args.out).parent)
     options = ReportOptions(
         n_slots=args.slots,
         seeds=tuple(args.seeds),
@@ -324,7 +338,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             if args.progress
             else None
         ),
-        engine=args.engine or "reference",
+        engine=args.engine,
         trace_reuse=bool(args.trace_reuse),
         farm=_farm_options(args),
     )
@@ -373,6 +387,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    _prepare_output_dir(args.out_dir)
 
     if args.pipeline:
         from repro.bench import (
@@ -904,7 +919,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("reference", "vectorized"), default=None,
         help=(
             "ALG-side simulation engine for Fig. 5 panels "
-            "(decision-identical by contract; default reference)"
+            "(decision-identical by contract; default vectorized; "
+            "reference selects the per-packet oracle)"
         ),
     )
     _add_pipeline_flags(run_parser)
@@ -1023,8 +1039,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to these Fig. 5 panels (default: all nine)",
     )
     report_parser.add_argument(
-        "--engine", choices=("reference", "vectorized"), default=None,
-        help="ALG-side simulation engine for the Fig. 5 panels",
+        "--engine", choices=("reference", "vectorized"),
+        default="vectorized",
+        help=(
+            "ALG-side simulation engine for the Fig. 5 panels (default "
+            "vectorized; reference selects the per-packet oracle)"
+        ),
     )
     _add_pipeline_flags(report_parser)
     _add_sweep_engine_flags(report_parser)
@@ -1048,11 +1068,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="panel names, or small / large / all (default all)",
     )
     bench_parser.add_argument(
-        "--mode", choices=("fast", "naive", "vectorized"), default="fast",
+        "--mode", choices=("naive", "vectorized"), default="vectorized",
         help=(
-            "engine/selector to time: the reference engine's fast or "
-            "naive selector over the object trace, or the columnar "
-            "vectorized engine over the columnar trace (default fast)"
+            "engine to time: the columnar vectorized engine over the "
+            "columnar trace (default), or the reference engine's naive "
+            "selectors over the object trace (the oracle)"
         ),
     )
     bench_parser.add_argument(
@@ -1199,7 +1219,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_parser.add_argument(
         "--engine", choices=("reference", "vectorized"), default=None,
-        help="ALG-side simulation engine (default reference)",
+        help=(
+            "ALG-side simulation engine (default vectorized; reference "
+            "selects the per-packet oracle)"
+        ),
     )
     _add_pipeline_flags(profile_parser)
     profile_parser.set_defaults(func=_cmd_profile)

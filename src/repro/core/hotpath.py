@@ -1,7 +1,7 @@
 """The ``@hot_path`` marker: declare a function allocation-audited.
 
-The PR 2 fast path is a performance *contract* — ``fresh_copy`` skips
-``__init__``, victim selection is an O(log n) ordering read, the
+The engines' hot paths are a performance *contract* — ``fresh_copy``
+skips ``__init__``, the vectorized kernels update columns in place, the
 transmission phase walks only active ports. The contract erodes one
 innocent allocation at a time, so functions on the contract are marked
 with this decorator and ``repro check`` audits their bodies statically

@@ -385,7 +385,7 @@ def run_panel(
     resilience: Optional[SupervisorOptions] = None,
     journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
-    engine: str = "reference",
+    engine: str = "vectorized",
     trace_reuse: bool = False,
     trace_store: Optional[TraceStore] = None,
     farm: Optional["FarmOptions"] = None,
@@ -401,9 +401,10 @@ def run_panel(
     the sweep grid, e.g. for smoke tests. ``resilience``/``journal``/
     ``fault_injector`` configure the supervised executor — see
     :mod:`repro.resilience` and ``docs/RESILIENCE.md``. ``engine``
-    selects the ALG-side simulation engine (``"reference"`` or
-    ``"vectorized"``); the engines are decision-identical by contract,
-    so the panel's numbers do not depend on the choice. The same
+    selects the ALG-side simulation engine (``"vectorized"``, the
+    default, or the ``"reference"`` oracle); the engines are
+    decision-identical by contract, so the panel's numbers do not
+    depend on the choice. The same
     contract covers ``trace_reuse`` (generate each distinct trace once
     per sweep via a :class:`~repro.analysis.tracestore.TraceStore`;
     pass ``trace_store`` to share one store — and its artifacts —

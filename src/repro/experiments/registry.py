@@ -162,7 +162,8 @@ def run_experiment(
     to Fig. 5 panels only (theorem replays are single deterministic
     traces — there is nothing to fan out, memoize, or resume).
     ``engine`` selects the ALG-side simulation engine for Fig. 5 panels
-    (``"reference"``/``"vectorized"``; decision-identical by contract)
+    (default ``"vectorized"``, or the ``"reference"`` oracle;
+    decision-identical by contract)
     and ``trace_reuse`` enables cross-cell trace reuse — both
     execution-only knobs (docs/PIPELINE.md), Fig. 5 panels only. ``farm`` (a
     :class:`repro.farm.FarmOptions`) distributes Fig. 5 cells over the

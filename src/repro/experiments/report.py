@@ -52,7 +52,7 @@ class ReportOptions:
     jobs: Optional[int] = None
     cache_dir: Optional[str] = None
     progress: Optional[Callable[[str], None]] = None
-    engine: str = "reference"
+    engine: str = "vectorized"
     trace_reuse: bool = False
     farm: Optional["FarmOptions"] = None
 

@@ -620,10 +620,14 @@ class FarmCoordinator:
             stream.close()
         # Shutting the server socket down unblocks accept(); closing
         # the streams unblocks every reader's recv(). Bounded joins so a
-        # half-dead peer cannot hold close() hostage.
-        self._accept_thread.join(timeout=5.0)
-        for reader in readers:
-            reader.join(timeout=5.0)
+        # half-dead peer cannot hold close() hostage; a thread that
+        # outlives its join is counted, not silently left behind.
+        threads = [self._accept_thread, *readers]
+        for thread in threads:
+            thread.join(timeout=5.0)
+        self.stats.joins_timed_out += sum(
+            thread.is_alive() for thread in threads
+        )
 
 
 def _pop_assignable(

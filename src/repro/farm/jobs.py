@@ -137,7 +137,7 @@ def _build_fig5_runner(
             if spec.get("flush_every") is not None
             else None
         )
-        engine = str(spec.get("engine") or "reference")
+        engine = str(spec.get("engine") or "vectorized")
         cache_dir = spec.get("cache_dir")
     except (KeyError, TypeError, ValueError) as exc:
         raise FarmError(f"malformed fig5 farm job spec: {exc}") from exc

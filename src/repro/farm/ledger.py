@@ -27,6 +27,7 @@ _COUNTERS = (
     "duplicate_results",
     "cells_farmed",
     "fallback_cells",
+    "joins_timed_out",
 )
 
 
@@ -42,7 +43,9 @@ class FarmStats:
     failed validation or transport-digest checks; ``duplicate_results``
     counts redundant deliveries that passed the digest-equality
     determinism check; ``fallback_cells`` counts cells handed down to
-    the local pool/serial chain when the farm could not finish them.
+    the local pool/serial chain when the farm could not finish them;
+    ``joins_timed_out`` counts coordinator threads (accept loop,
+    readers) still alive after their bounded join at teardown.
     """
 
     workers_joined: int = 0
@@ -55,6 +58,7 @@ class FarmStats:
     duplicate_results: int = 0
     cells_farmed: int = 0
     fallback_cells: int = 0
+    joins_timed_out: int = 0
     #: Per-worker accumulated stage seconds (``trace_gen`` etc.), keyed
     #: by worker name — observability only, never part of any digest.
     worker_stages: Dict[str, Dict[str, float]] = field(
@@ -104,6 +108,7 @@ class FarmStats:
             ("results_rejected", "rejected"),
             ("duplicate_results", "duplicates verified"),
             ("fallback_cells", "fell back"),
+            ("joins_timed_out", "joins timed out"),
         ):
             amount = getattr(self, name)
             if amount:

@@ -310,17 +310,17 @@ def record_trace(
     *,
     flush_every: Optional[int] = None,
     drain_slots: int = 0,
-    fast_path: bool = True,
     header: Optional[Mapping[str, object]] = None,
 ) -> SwitchMetrics:
     """Run ``policy`` over ``trace`` while recording a JSONL event trace.
 
     Convenience glue used by ``repro trace`` and the replay test suite:
-    builds a :class:`~repro.analysis.competitive.PolicySystem` with the
-    writer attached, drives it through
-    :func:`~repro.analysis.competitive.run_system`, and closes the
-    stream with the live metrics snapshot. Returns the live metrics so
-    callers can compare against the replayed reconstruction.
+    builds a reference-engine :class:`~repro.analysis.competitive.
+    PolicySystem` (the per-packet oracle) with the writer attached,
+    drives it through :func:`~repro.analysis.competitive.run_system`,
+    and closes the stream with the live metrics snapshot. Returns the
+    live metrics so callers can compare against the replayed
+    reconstruction.
     """
     from repro.analysis.competitive import PolicySystem, run_system
 
@@ -335,7 +335,7 @@ def record_trace(
         head.update(header)
     writer = JsonlTraceWriter(sink, header=head)
     try:
-        system = PolicySystem(config, policy, fast_path=fast_path)
+        system = PolicySystem(config, policy, engine="reference")
         metrics = run_system(
             system,
             trace,

@@ -211,14 +211,15 @@ class MaxValueSurrogate(_SinglePQSurrogate):
 
 
 def make_surrogate(
-    config: SwitchConfig, by_value: bool, *, engine: str = "reference"
+    config: SwitchConfig, by_value: bool, *, engine: str = "vectorized"
 ) -> System:
     """Build the appropriate surrogate for a model/objective.
 
-    ``engine`` selects the implementation: ``"reference"`` is the
-    ``bisect`` single queue above (the oracle); ``"vectorized"`` is the
-    array-backed variant of :mod:`repro.opt.vectorized`, decision- and
-    metrics-identical by contract (see docs/PIPELINE.md). Measured
+    ``engine`` selects the implementation: ``"vectorized"`` (the
+    default) is the array-backed variant of :mod:`repro.opt.vectorized`;
+    ``"reference"`` is the ``bisect`` single queue above, the oracle it
+    is decision- and metrics-identical to by contract (see
+    docs/PIPELINE.md). Measured
     objectives are therefore engine-independent, which is why the
     engine is not part of any cache or journal identity.
     """

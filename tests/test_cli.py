@@ -115,10 +115,13 @@ class TestTrace:
 
 class TestUnwritableOrMissingPaths:
     def _assert_one_error_line(self, capsys):
+        # One error line and nothing on stdout: the path is checked
+        # before any cell, panel or report section runs.
         captured = capsys.readouterr()
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_bench_missing_baseline_is_one_error_line(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"
@@ -171,10 +174,5 @@ class TestUnwritableOrMissingPaths:
             ["bench", "--panels", "uniform-proc-small",
              "--slots-scale", "0.01", "--out-dir", str(out_dir)]
         ) == 2
-        captured = capsys.readouterr()
-        # The panel's progress line precedes the failed write.
-        lines = captured.err.strip().splitlines()
-        assert lines[-1].startswith("error:")
-        assert sum(line.startswith("error:") for line in lines) == 1
-        assert "Traceback" not in captured.err
+        self._assert_one_error_line(capsys)
         assert not out_dir.exists()

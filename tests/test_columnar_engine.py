@@ -210,7 +210,7 @@ def test_burst_validation_memo_keyed_on_the_burst():
 
 def _drive_both(config: SwitchConfig, trace: Trace, policy_name: str):
     vec = VectorizedSwitch(config)
-    ref = SharedMemorySwitch(config, fast_path=True)
+    ref = SharedMemorySwitch(config)
     vec_policy = make_policy(policy_name)
     ref_policy = make_policy(policy_name)
     for burst in trace.slots:
@@ -269,7 +269,7 @@ def test_wide_switch_on_calendar_matches_reference():
     )
     switch = VectorizedSwitch(config)
     trace = _congested_trace(config, 30, seed=31, per_slot=3 * n)
-    ref = SharedMemorySwitch(config, fast_path=True)
+    ref = SharedMemorySwitch(config)
     policy_vec, policy_ref = make_policy("LQD"), make_policy("LQD")
     for burst in trace.slots:
         switch.run_slot(burst, policy_vec)

@@ -245,6 +245,34 @@ class TestCoordinatorTeardown:
         _wait_until_in_accept(accept_thread)
         coordinator.close()
         assert not accept_thread.is_alive()
+        assert coordinator.stats.joins_timed_out == 0
+
+    def test_close_counts_a_thread_that_outlives_its_join(self):
+        from repro.farm import FarmCoordinator, FarmOptions
+
+        class StuckReader:
+            """A reader whose bounded join returns with it still alive."""
+
+            def join(self, timeout=None):
+                pass
+
+            def is_alive(self):
+                return True
+
+        stats = FarmStats()
+        coordinator = FarmCoordinator(
+            FarmJob(kind="fig5", spec={}),
+            identity=None,
+            options=FarmOptions(workers=0),
+            stats=stats,
+        )
+        _wait_until_in_accept(coordinator._accept_thread)
+        with coordinator._streams_lock:
+            coordinator._reader_threads.append(StuckReader())
+        coordinator.close()
+        assert stats.joins_timed_out == 1
+        assert stats.as_dict()["joins_timed_out"] == 1
+        assert "1 joins timed out" in stats.summary()
 
 
 class TestFarmJobs:

@@ -122,7 +122,7 @@ class TestInvariantHook:
         trace = Trace()
         for _ in range(4):
             trace.append_slot([Packet(port=0, work=1)])
-        system = PolicySystem(config, make_policy("LWD"))
+        system = PolicySystem(config, make_policy("LWD"), engine="reference")
         # Sabotage the tracked work of a queue: the periodic self-check
         # must surface it instead of letting the run finish quietly.
         system.switch.queues[1].admit(Packet(port=1, work=2).fresh_copy())

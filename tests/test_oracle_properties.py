@@ -92,6 +92,29 @@ def drained_objective(config, arrivals, policy_name, by_value):
     return system.metrics.objective(by_value)
 
 
+def drained_surrogate(config, arrivals, by_value, engine):
+    """Run the OPT surrogate over ``arrivals``, then drain it empty."""
+    surrogate = make_surrogate(config, by_value=by_value, engine=engine)
+    for slot, burst in enumerate(arrivals):
+        surrogate.run_slot(
+            [
+                Packet(
+                    port=port,
+                    work=config.work_of(port) if not by_value else 1,
+                    value=value,
+                    arrival_slot=slot,
+                )
+                for port, value in burst
+            ]
+        )
+    guard = config.buffer_size * config.max_work + 1
+    while surrogate.backlog > 0 and guard > 0:
+        surrogate.run_slot(())
+        guard -= 1
+    assert surrogate.backlog == 0
+    return surrogate
+
+
 @settings(max_examples=60, deadline=None)
 @given(scenario=tiny_processing_instance(), policy_index=st.integers(0, 999))
 def test_oracle_dominates_processing_policies(scenario, policy_index):
@@ -169,23 +192,25 @@ def test_surrogate_is_not_an_upper_bound_on_opt(engine):
     oracle = exhaustive_opt(
         TinyInstance(config=config, arrivals=arrivals), by_value=False
     )
-    surrogate = make_surrogate(config, by_value=False, engine=engine)
-    for slot, burst in enumerate(arrivals):
-        surrogate.run_slot(
-            [
-                Packet(
-                    port=port,
-                    work=config.work_of(port),
-                    value=value,
-                    arrival_slot=slot,
-                )
-                for port, value in burst
-            ]
-        )
-    guard = config.buffer_size * config.max_work + 1
-    while surrogate.backlog > 0 and guard > 0:
-        surrogate.run_slot(())
-        guard -= 1
-    assert surrogate.backlog == 0
+    surrogate = drained_surrogate(config, arrivals, False, engine)
     assert oracle == 7
     assert surrogate.metrics.objective(False) == 6
+
+
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+@settings(max_examples=60, deadline=None)
+@given(scenario=tiny_value_instance())
+def test_value_surrogate_is_an_upper_bound_on_opt(engine, scenario):
+    """In the value model the surrogate does bound OPT from above.
+
+    One priority queue with ``n*C`` cores relaxes every per-port
+    constraint of the switch: any feasible switch schedule is also a
+    feasible schedule of the single queue, so the drained surrogate
+    transmits at least the exact optimum's value.
+    """
+    config, arrivals = scenario
+    oracle = exhaustive_opt(
+        TinyInstance(config=config, arrivals=arrivals), by_value=True
+    )
+    surrogate = drained_surrogate(config, arrivals, True, engine)
+    assert surrogate.metrics.objective(True) >= oracle - 1e-9

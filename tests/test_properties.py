@@ -99,7 +99,9 @@ VALUE_POLICY_NAMES = [e.name for e in available_policies("value")]
 
 def run_and_check(config, slots, policy_name):
     """Drive the scenario, asserting engine invariants each slot."""
-    system = PolicySystem(config, make_policy(policy_name))
+    system = PolicySystem(
+        config, make_policy(policy_name), engine="reference"
+    )
     for burst in slots:
         system.run_slot(burst)
         system.switch.check_invariants()
@@ -176,7 +178,7 @@ def test_non_push_out_policies_never_evict(scenario, policy_index):
 def test_fifo_order_preserved(scenario):
     """Packets leave a FIFO queue in exactly their admission order."""
     config, slots = scenario
-    system = PolicySystem(config, make_policy("LWD"))
+    system = PolicySystem(config, make_policy("LWD"), engine="reference")
     admission_order: dict[int, list[int]] = {
         p: [] for p in range(config.n_ports)
     }
@@ -261,7 +263,7 @@ def test_value_engine_invariants(scenario, policy_index):
 def test_value_queues_stay_sorted(scenario, policy_index):
     config, slots = scenario
     name = VALUE_POLICY_NAMES[policy_index % len(VALUE_POLICY_NAMES)]
-    system = PolicySystem(config, make_policy(name))
+    system = PolicySystem(config, make_policy(name), engine="reference")
     for burst in slots:
         system.run_slot(burst)
         for queue in system.switch.queues:
@@ -274,7 +276,7 @@ def test_value_queues_stay_sorted(scenario, policy_index):
 def test_mvd_never_decreases_buffered_value_on_push_out(scenario):
     """MVD's push-outs always trade a cheaper packet for a dearer one."""
     config, slots = scenario
-    system = PolicySystem(config, make_policy("MVD"))
+    system = PolicySystem(config, make_policy("MVD"), engine="reference")
     for burst in slots:
         for packet in burst:
             before = sum(q.total_value for q in system.switch.queues)
@@ -292,7 +294,7 @@ def test_transmitted_value_counts_head_packets(scenario):
     """Each queue transmits its highest-valued packets first, so per-slot
     transmitted value from a queue equals the top-C values it held."""
     config, slots = scenario
-    system = PolicySystem(config, make_policy("Greedy"))
+    system = PolicySystem(config, make_policy("Greedy"), engine="reference")
     for burst in slots:
         system.switch.arrival_phase(burst, system.policy)
         expected = []

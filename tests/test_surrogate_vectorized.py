@@ -334,7 +334,7 @@ class TestSurface:
         rnd = random.Random(9)
         config = SwitchConfig.from_works([2, 3], buffer_size=5)
         for by_value in (False, True):
-            ref = make_surrogate(config, by_value=by_value)
+            ref = make_surrogate(config, by_value=by_value, engine="reference")
             vec = make_surrogate(
                 config, by_value=by_value, engine="vectorized"
             )

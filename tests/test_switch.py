@@ -143,6 +143,16 @@ class TestRunSlotAndFlush:
         proc_switch.run_slot([pkt(0, 1), pkt(1, 2)], AcceptAll())
         assert proc_switch.metrics.occupancy_peak >= 1
 
+    def test_fast_forward_requires_empty_buffer(self):
+        switch = SharedMemorySwitch(SwitchConfig.contiguous(2, 4))
+        switch.fast_forward(10)
+        assert switch.current_slot == 10
+        assert switch.metrics.slots_elapsed == 10
+        assert switch.metrics.mean_occupancy == 0.0
+        switch.offer(pkt(0, 1), AcceptAll())
+        with pytest.raises(PolicyError, match="empty buffer"):
+            switch.fast_forward(1)
+
 
 class TestInvariants:
     def test_check_invariants_on_fresh_switch(self, proc_switch):
